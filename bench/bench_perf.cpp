@@ -330,6 +330,9 @@ int main(int argc, char** argv) {
     report.Memory("stream.pool_hits", static_cast<double>(stats.pool_hits));
     report.Memory("stream.pool_misses",
                   static_cast<double>(stats.pool_misses));
+    report.Memory("stream.segments", static_cast<double>(stats.segments));
+    report.Memory("stream.raw_mask_bytes",
+                  static_cast<double>(stats.raw_mask_bytes));
 
     bb::segmentation::NoisyOracleSegmenter batch_seg(f.raw.caller_masks, {},
                                                      7);

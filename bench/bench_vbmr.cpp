@@ -23,18 +23,13 @@ VbmrResult MeasureVbmr(const synth::RawRecording& raw,
                        const core::VbReference& known_ref,
                        bool vb_is_video) {
   const vbg::CompositedCall call = vbg::ApplyVirtualBackground(raw, vb);
-  segmentation::NoisyOracleSegmenter seg(raw.caller_masks, {}, 7);
 
   auto mean_vbmr = [&](const core::VbReference& ref) {
-    segmentation::NoisyOracleSegmenter seg_local(raw.caller_masks, {}, 7);
-    core::Reconstructor rc(ref, seg_local);
-    rc.PrepareCaller(call.video);
-    double sum = 0.0;
-    for (int i = 0; i < call.video.frame_count(); ++i) {
-      const auto d = rc.Decompose(call.video, i);
-      sum += core::Vbmr(d, call.vb_regions[static_cast<std::size_t>(i)]);
-    }
-    return sum / call.video.frame_count();
+    segmentation::NoisyOracleSegmenter seg(raw.caller_masks, {}, 7);
+    core::ReconstructionOptions opts;
+    opts.keep_frame_masks = true;
+    core::Reconstructor rc(ref, seg, opts);
+    return core::MeanVbmr(rc.Run(call.video).frame_masks, call.vb_regions);
   };
 
   VbmrResult out;

@@ -70,47 +70,72 @@ struct ThreadPool::Impl {
   std::condition_variable done_cv;   // Run() waits here for completion
   std::vector<std::thread> workers;
 
-  // Current job; guarded by mu except for next_task (atomic claim).
-  std::uint64_t epoch = 0;           // bumped per job
+  // Current job; guarded by mu.
+  std::uint32_t epoch = 0;           // bumped per job
   const std::function<void(int)>* fn = nullptr;
   int task_count = 0;
-  std::atomic<int> next_task{0};
+  int helper_slots = 0;              // helpers the job may still admit
   int unfinished = 0;                // tasks not yet completed
   std::exception_ptr first_error;
   bool shutdown = false;
 
+  // Task claims, tagged with the job they belong to: the high 32 bits hold
+  // the job's epoch, the low 32 bits the next unclaimed task index. A helper
+  // copies (fn, task_count, epoch) under mu and claims by compare-exchange
+  // on the whole word, so a helper that only starts claiming after its job
+  // completed and the next one was published sees a foreign epoch and
+  // stops - it can never run the next job's indices with its own job's
+  // (by then destroyed) function, nor decrement the next job's counter.
+  std::atomic<std::uint64_t> claim{0};
+
   // Serializes Run() callers; the pool executes one job at a time.
   std::mutex run_mu;
 
+  static std::uint64_t Tag(std::uint32_t job_epoch) {
+    return static_cast<std::uint64_t>(job_epoch) << 32;
+  }
+
   void WorkerLoop() {
-    std::uint64_t seen = 0;
+    std::uint32_t seen = 0;
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
       work_cv.wait(lock, [&] { return shutdown || epoch != seen; });
       if (shutdown) return;
       seen = epoch;
+      // Every worker wakes on notify_all; only max_workers - 1 join a job.
+      if (helper_slots == 0) continue;
+      --helper_slots;
       const auto* job = fn;
       const int count = task_count;
       lock.unlock();
-      DrainTasks(job, count);
+      DrainTasks(job, count, seen);
       lock.lock();
     }
   }
 
-  // Claims and runs tasks until none remain; records completions.
-  void DrainTasks(const std::function<void(int)>* job, int count) {
+  // Claims and runs job `job_epoch`'s tasks until none remain (or the job
+  // is over); records completions.
+  void DrainTasks(const std::function<void(int)>* job, int count,
+                  std::uint32_t job_epoch) {
     RegionGuard region;
+    const std::uint64_t tag = Tag(job_epoch);
     int done_here = 0;
     std::exception_ptr error;
+    std::uint64_t cur = claim.load();
     for (;;) {
-      const int task = next_task.fetch_add(1, std::memory_order_relaxed);
+      if ((cur & ~std::uint64_t{0xFFFFFFFF}) != tag) break;
+      const int task = static_cast<int>(cur & 0xFFFFFFFF);
       if (task >= count) break;
+      if (!claim.compare_exchange_weak(cur, cur + 1)) {
+        continue;  // `cur` was reloaded; re-check its epoch and index
+      }
       try {
         (*job)(task);
       } catch (...) {
         if (!error) error = std::current_exception();
       }
       ++done_here;
+      cur = claim.load();
     }
     if (done_here > 0 || error) {
       std::lock_guard<std::mutex> lock(mu);
@@ -173,24 +198,28 @@ void ThreadPool::Run(int max_workers, int task_count,
   Impl* p = impl();
   std::lock_guard<std::mutex> run_lock(p->run_mu);
   const int helpers = std::min(max_workers, task_count) - 1;
+  std::uint32_t job_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(p->mu);
     p->EnsureWorkers(helpers);
+    job_epoch = ++p->epoch;
     p->fn = &fn;
     p->task_count = task_count;
-    p->next_task.store(0, std::memory_order_relaxed);
+    p->helper_slots = helpers;
+    p->claim.store(Impl::Tag(job_epoch));
     p->unfinished = task_count;
     p->first_error = nullptr;
-    ++p->epoch;
   }
   p->work_cv.notify_all();
 
   // The caller participates instead of idling.
-  p->DrainTasks(&fn, task_count);
+  p->DrainTasks(&fn, task_count, job_epoch);
 
   std::unique_lock<std::mutex> lock(p->mu);
   p->done_cv.wait(lock, [&] { return p->unfinished == 0; });
+  // Workers waking after this point find no slot and go back to sleep.
   p->fn = nullptr;
+  p->helper_slots = 0;
   if (p->first_error) {
     auto error = p->first_error;
     p->first_error = nullptr;

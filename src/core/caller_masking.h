@@ -9,14 +9,16 @@
 // whenever it leaks, while true caller-boundary pixels vary as the caller
 // moves - so leak colors are rare *within* the caller region but
 // persistent, and statistically contrast with the caller's palette.
+//
+// The masker holds only the whole-call color model and the refinement;
+// segmenting each frame and gathering the model is the streaming
+// reconstructor's caller pass (core/streaming.h).
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <optional>
 
+#include "imaging/histogram.h"
 #include "imaging/image.h"
-#include "segmentation/segmenter.h"
-#include "video/video.h"
 
 namespace bb::core {
 
@@ -32,52 +34,20 @@ struct CallerMaskingOptions {
 
 class CallerMasker {
  public:
-  // The segmenter is shared, not owned; it must outlive the masker.
-  CallerMasker(segmentation::PersonSegmenter& segmenter,
-               const CallerMaskingOptions& opts = {});
+  explicit CallerMasker(const CallerMaskingOptions& opts = {});
 
-  // Precomputes segmenter masks and the color-frequency statistics for the
-  // call. Must be called before Vcm(). (Batch form; retains every raw mask.)
-  void Prepare(const video::VideoStream& call);
+  // Installs the caller color model: the colors of every frame's pixels
+  // under its raw segmenter mask (ColorFrequency::AddMasked), summed over
+  // the call. Must be called before Refine().
+  void SetCallerColors(imaging::ColorFrequency colors);
 
-  // Refined video-caller mask for frame i.
-  imaging::Bitmap Vcm(const video::VideoStream& call, int frame_index) const;
-
-  // Raw (unrefined) segmenter output for frame i (for ablations).
-  const imaging::Bitmap& RawSegmenterMask(int frame_index) const;
-
-  // Streaming preparation: color statistics accumulate over one in-order
-  // pass of frames with O(1) state - raw masks are NOT retained (the caller
-  // may cache the returned mask). The segmenter's analysis passes, if any,
-  // must have run before BeginPrepare().
-  void BeginPrepare();
-  // Segments `frame`, folds the mask into the color statistics, and returns
-  // the raw mask.
-  imaging::Bitmap PushPrepare(const imaging::Image& frame, int frame_index);
-  void EndPrepare();
-
-  // Refines a raw segmenter mask into the VCM for `frame` using the
-  // statistics from Prepare()/Begin..EndPrepare(). Thread-safe once
-  // preparation is complete; Vcm() is a lookup into the retained masks plus
-  // this refinement.
+  // Refines a raw segmenter mask into the VCM for `frame`. Thread-safe.
   imaging::Bitmap Refine(const imaging::Image& frame,
                          const imaging::Bitmap& raw) const;
 
-  // Segments + refines one frame (the streaming reconstruct path when raw
-  // masks were not cached).
-  imaging::Bitmap Vcm(const imaging::Image& frame, int frame_index) const;
-
  private:
-  void AccumulateStats(const imaging::Image& frame,
-                       const imaging::Bitmap& mask);
-
-  segmentation::PersonSegmenter& segmenter_;
   CallerMaskingOptions opts_;
-  std::vector<imaging::Bitmap> raw_masks_;
-  std::vector<std::uint64_t> color_counts_;
-  std::uint64_t color_total_ = 0;
-  bool stats_ready_ = false;  // Refine() usable (streaming or batch)
-  bool prepared_ = false;     // raw masks retained (batch only)
+  std::optional<imaging::ColorFrequency> colors_;
 };
 
 }  // namespace bb::core

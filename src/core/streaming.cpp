@@ -10,6 +10,7 @@
 #include "core/checkpoint.h"
 #include "core/reduce.h"
 #include "imaging/kernels/kernels.h"
+#include "imaging/mask_rle.h"
 
 namespace bb::core {
 
@@ -21,7 +22,7 @@ StreamingReconstructor::StreamingReconstructor(
     const StreamingOptions& opts)
     : reference_(reference),
       segmenter_(segmenter),
-      masker_(segmenter, opts.recon.caller),
+      masker_(opts.recon.caller),
       opts_(opts) {
   if (opts_.window_frames < 1) {
     throw std::invalid_argument("StreamingReconstructor: window_frames < 1");
@@ -68,15 +69,13 @@ void StreamingReconstructor::Begin(const video::StreamInfo& info) {
     result_.frame_masks.resize(static_cast<std::size_t>(frames));
   }
 
-  cache_raw_masks_ = opts_.window_frames >= frames;
-  raw_cache_.clear();
+  raw_rle_.clear();
   window_.emplace(std::min(opts_.window_frames, std::max(1, frames)));
   window_ids_.clear();
   pool_ = video::BufferPool();
   shards_.clear();
   stats_ = StreamingStats{};
   stats_.window_capacity = window_->capacity();
-  stats_.raw_masks_cached = cache_raw_masks_;
 
   // Decomposition slice of this worker: the i-th of N equal ranges in
   // shard mode, the whole stream otherwise.
@@ -172,11 +171,10 @@ void StreamingReconstructor::BeginPass(int pass) {
   if (pass < analysis_passes_) {
     segmenter_.BeginAnalysisPass(pass, info_);
   } else if (pass == analysis_passes_) {
-    masker_.BeginPrepare();
-    if (cache_raw_masks_) {
-      raw_cache_.assign(static_cast<std::size_t>(info_.frame_count),
-                        Bitmap());
-    }
+    color_shards_.clear();
+    raw_rle_.assign(
+        static_cast<std::size_t>(std::max(0, shard_end_ - decomp_begin_)),
+        std::nullopt);
     caller_timer_.emplace("reconstruct.caller_prepare");
   } else {
     accumulate_timer_.emplace("reconstruct.accumulate");
@@ -199,7 +197,7 @@ bool StreamingReconstructor::SkipFrame(int frame_index) const {
   // Frames outside [decomp_begin_, shard_end_) contribute nothing to the
   // decomposition pass: below decomp_begin_ they are already decomposed
   // into resume_base_ or belong to an earlier shard, at or above
-  // shard_end_ they belong to a later shard. The cheap analysis/caller
+  // shard_end_ they belong to a later shard. The analysis and caller
   // passes still see them (their state is rebuilt fresh on every worker).
   return current_pass_ == analysis_passes_ + 1 &&
          (frame_index < decomp_begin_ || frame_index >= shard_end_);
@@ -208,26 +206,19 @@ bool StreamingReconstructor::SkipFrame(int frame_index) const {
 void StreamingReconstructor::PushFrame(const Image& frame, int frame_index) {
   CheckOrder(frame_index);
   if (SkipFrame(frame_index)) return;
-  if (current_pass_ == analysis_passes_ + 1) {
-    Image buffer = pool_.AcquireImage(info_.width, info_.height);
-    const auto src = frame.pixels();
-    const auto dst = buffer.pixels();
-    std::copy(src.begin(), src.end(), dst.begin());
-    PushWindowed(std::move(buffer), frame_index);
-    return;
-  }
   if (current_pass_ < analysis_passes_) {
     segmenter_.PushAnalysisFrame(current_pass_, frame, frame_index);
-  } else {
-    Bitmap raw = masker_.PushPrepare(frame, frame_index);
-    if (cache_raw_masks_) {
-      raw_cache_[static_cast<std::size_t>(frame_index)] = std::move(raw);
-    }
+    return;
   }
+  Image buffer = pool_.AcquireImage(info_.width, info_.height);
+  const auto src = frame.pixels();
+  const auto dst = buffer.pixels();
+  std::copy(src.begin(), src.end(), dst.begin());
+  PushWindowed(std::move(buffer), frame_index);
 }
 
 void StreamingReconstructor::PushFrame(Image&& frame, int frame_index) {
-  if (current_pass_ == analysis_passes_ + 1) {
+  if (current_pass_ >= analysis_passes_) {
     CheckOrder(frame_index);
     if (SkipFrame(frame_index)) {
       // Recycle the caller's buffer; the frame contributes nothing.
@@ -290,15 +281,52 @@ std::vector<int> StreamingReconstructor::QuarantinedFrames() const {
 }
 
 void StreamingReconstructor::PushWindowed(Image frame, int frame_index) {
-  ++stats_.frames_pushed;
+  if (current_pass_ == analysis_passes_ + 1) ++stats_.frames_pushed;
   window_ids_.push_back(frame_index);
   pool_.Release(window_->Push(std::move(frame)));
   if (window_->size() == window_->capacity()) FlushWindow();
 }
 
+void StreamingReconstructor::SegmentWindow() {
+  const trace::ScopedTimer timer("reconstruct.caller_segment");
+  const int count = window_->size();
+  const int first = window_->first_index();
+  const std::size_t needed =
+      static_cast<std::size_t>(common::NumShards(count));
+  if (color_shards_.size() < needed) color_shards_.resize(needed);
+
+  // Segmentation dominates the pipeline cost; shard the resident frames
+  // across threads. Each thread shard histograms into its own color counts
+  // (merged exactly at the end of the pass) and each frame's encoded mask
+  // lands in its own slot, so writes are disjoint.
+  common::ParallelShards(
+      0, count, /*grain=*/1,
+      [&](int shard, std::int64_t shard_begin, std::int64_t shard_end) {
+        imaging::ColorFrequency& colors =
+            color_shards_[static_cast<std::size_t>(shard)];
+        for (std::int64_t k = shard_begin; k < shard_end; ++k) {
+          const Image& frame = window_->at(first + static_cast<int>(k));
+          const int fi = window_ids_[static_cast<std::size_t>(k)];
+          const Bitmap raw = segmenter_.Segment(frame, fi);
+          colors.AddMasked(frame, raw);
+          if (fi >= decomp_begin_ && fi < shard_end_) {
+            raw_rle_[static_cast<std::size_t>(fi - decomp_begin_)] =
+                imaging::EncodeMaskRle(raw);
+          }
+        }
+      });
+  stats_.segments += static_cast<std::uint64_t>(count);
+}
+
 void StreamingReconstructor::FlushWindow() {
   const int count = window_->size();
   if (count == 0) return;
+  if (current_pass_ == analysis_passes_) {
+    SegmentWindow();
+    window_->Clear(&pool_);
+    window_ids_.clear();
+    return;
+  }
   ++stats_.window_flushes;
 
   const int first = window_->first_index();
@@ -403,11 +431,16 @@ void StreamingReconstructor::DecomposeWindowFrame(int window_index,
   }
   {
     const trace::ScopedTimer timer("reconstruct.vcm");
-    d.vcm = cache_raw_masks_
-                ? masker_.Refine(
-                      frame,
-                      raw_cache_[static_cast<std::size_t>(frame_index)])
-                : masker_.Vcm(frame, frame_index);
+    auto& rle =
+        raw_rle_[static_cast<std::size_t>(frame_index - decomp_begin_)];
+    if (!rle || !imaging::DecodeMaskRle(*rle, frame.width(), frame.height(),
+                                       &shard.raw)) {
+      throw std::logic_error(
+          "StreamingReconstructor: frame " + std::to_string(frame_index) +
+          " has no valid raw mask from the caller pass");
+    }
+    rle.reset();  // each frame is decomposed once
+    d.vcm = masker_.Refine(frame, shard.raw);
   }
   {
     const trace::ScopedTimer timer("reconstruct.lb");
@@ -435,7 +468,17 @@ void StreamingReconstructor::EndPass(int pass) {
   if (pass < analysis_passes_) {
     segmenter_.EndAnalysisPass(pass);
   } else if (pass == analysis_passes_) {
-    masker_.EndPrepare();
+    FlushWindow();
+    // Exact: integer counts, summed in shard order.
+    imaging::ColorFrequency colors;
+    for (const imaging::ColorFrequency& shard : color_shards_) {
+      colors.Add(shard);
+    }
+    masker_.SetCallerColors(std::move(colors));
+    color_shards_.clear();
+    for (const auto& rle : raw_rle_) {
+      if (rle) stats_.raw_mask_bytes += rle->size();
+    }
     caller_timer_.reset();
   } else {
     FlushWindow();
@@ -456,6 +499,8 @@ void StreamingReconstructor::FinishRunStats() {
     trace::AddCounter("stream.frames_pushed", stats_.frames_pushed);
     trace::AddCounter("stream.pool_hits", stats_.pool_hits);
     trace::AddCounter("stream.pool_misses", stats_.pool_misses);
+    trace::AddCounter("stream.segments", stats_.segments);
+    trace::AddCounter("stream.raw_mask_bytes", stats_.raw_mask_bytes);
   }
 }
 
@@ -524,8 +569,8 @@ PartialResult StreamingReconstructor::FinalizePartial() {
 }
 
 Status StreamingReconstructor::AbortForStop() {
-  const bool windowed = current_pass_ == analysis_passes_ + 1;
-  if (windowed && !opts_.checkpoint_path.empty()) {
+  const bool decomposing = current_pass_ == analysis_passes_ + 1;
+  if (decomposing && !opts_.checkpoint_path.empty()) {
     // Seal the in-flight window: FlushWindow decomposes the resident
     // frames and checkpoints past them, so nothing pushed so far is lost.
     // An empty window means the last flush's checkpoint already covers
@@ -556,7 +601,9 @@ Status StreamingReconstructor::RunPasses(video::FrameSource& source) {
   for (int pass = 0; pass < total_passes; ++pass) {
     source.Reset();
     BeginPass(pass);
-    const bool windowed = pass == analysis_passes_ + 1;
+    // The caller and decomposition passes both buffer frames in the window.
+    const bool windowed = pass >= analysis_passes_;
+    const bool decomposing = pass == analysis_passes_ + 1;
     // Decomposition-prefix fast-forward: frames below decomp_begin_
     // (resumed and/or earlier shards' slices) contribute nothing to the
     // decomposition pass, so a seekable source (indexed .bbv, in-memory
@@ -567,7 +614,7 @@ Status StreamingReconstructor::RunPasses(video::FrameSource& source) {
     // worker's slice end are simply never pulled on this pass.
     int start = 0;
     int stop = n;
-    if (windowed) {
+    if (decomposing) {
       stop = shard_end_;
       if (decomp_begin_ > 0 && source.CanSeek()) {
         const int skip_to = std::min(decomp_begin_, n);

@@ -13,14 +13,24 @@
 //
 // Pass protocol (TotalPasses() sequential pulls over a rewindable source):
 //   passes [0, A)  - segmenter analysis passes (A = AnalysisPasses())
-//   pass A         - caller statistics (segment + color histogram); raw
-//                    masks are cached only when the window covers the call
-//   pass A+1       - windowed decomposition + leak accumulation
+//   pass A         - caller pass: windowed; every full window is segmented
+//                    in parallel (common::ParallelShards), each thread
+//                    shard folding its frames into its own caller color
+//                    histogram (integer counts, summed in shard order at
+//                    the end of the pass). The raw mask of every frame in
+//                    the decomposition range [decomp_begin_, shard_end_)
+//                    is kept run-length encoded (imaging/mask_rle.h).
+//   pass A+1       - windowed decomposition + leak accumulation; the VCM
+//                    is the decoded raw mask refined by the color model.
+// Segment() therefore runs exactly once per non-quarantined frame, whatever
+// the window size, thread count, shard, or resume state. Memory stays
+// O(window) frames plus the compressed masks (under 1 KB per 144p frame,
+// never more than 1 byte per pixel).
 // Run() drives all passes; the Begin/BeginPass/PushFrame/EndPass/Finalize
 // surface is public for callers that push frames as they arrive.
 //
 // Shard mode (DESIGN.md section 14): with shard_count > 0 the worker runs
-// the cheap analysis/caller passes over the whole stream (identical global
+// the analysis/caller passes over the whole stream (identical global
 // statistics on every worker) but decomposes only its frame slice
 // [frames*i/N, frames*(i+1)/N), fast-forwarding to the slice start via
 // video::FrameSource::Seek when the source supports it. RunPartial() then
@@ -62,6 +72,7 @@
 #include "common/trace.h"
 #include "core/partial.h"
 #include "core/reconstruction.h"
+#include "imaging/histogram.h"
 #include "imaging/image.h"
 #include "video/frame_source.h"
 
@@ -115,11 +126,15 @@ struct StreamingOptions {
 struct StreamingStats {
   int window_capacity = 0;
   int peak_window_frames = 0;
+  // Frames and window flushes of the decomposition pass.
   std::uint64_t frames_pushed = 0;
   std::uint64_t window_flushes = 0;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  bool raw_masks_cached = false;
+  // Segment() calls (all on the caller pass) and the bytes of run-length
+  // raw masks cached for the decomposition pass.
+  std::uint64_t segments = 0;
+  std::uint64_t raw_mask_bytes = 0;
 
   // Degradation accounting.
   std::uint64_t bad_frame_events = 0;  // bad pushes/pulls across all passes
@@ -203,6 +218,7 @@ class StreamingReconstructor {
   struct LeakShard {
     LeakAccumulators acc;
     FrameDecomposition scratch;
+    imaging::Bitmap raw;  // decoded raw segmenter mask
   };
 
   void CheckOrder(int frame_index);
@@ -211,7 +227,11 @@ class StreamingReconstructor {
   // range, or already covered by a checkpoint).
   bool SkipFrame(int frame_index) const;
   void PushWindowed(imaging::Image frame, int frame_index);
+  // Processes and empties the resident window: segments it on the caller
+  // pass (SegmentWindow), decomposes and accumulates it on the
+  // decomposition pass.
   void FlushWindow();
+  void SegmentWindow();
   void DecomposeWindowFrame(int window_index, int frame_index,
                             LeakShard& shard);
   void SaveCheckpointNow(int frames_done);
@@ -236,7 +256,6 @@ class StreamingReconstructor {
   int analysis_passes_ = 0;
   int current_pass_ = -2;  // -2 before Begin, -1 after Begin
   int next_frame_ = 0;
-  bool cache_raw_masks_ = false;
 
   // Degradation state: quarantine bitmap + unique count + derived budget.
   std::vector<std::uint8_t> quarantine_;
@@ -262,7 +281,11 @@ class StreamingReconstructor {
   // contiguous in stream indices; this carries the mapping into FlushWindow.
   std::vector<int> window_ids_;
   video::BufferPool pool_;
-  std::vector<imaging::Bitmap> raw_cache_;
+  // Caller pass: per-thread-shard caller color histograms, and the raw
+  // segmenter mask of frame decomp_begin_ + k, run-length encoded, in slot
+  // k (empty until segmented; dropped once decomposed).
+  std::vector<imaging::ColorFrequency> color_shards_;
+  std::vector<std::optional<std::vector<std::uint8_t>>> raw_rle_;
   std::vector<LeakShard> shards_;
   ReconstructionResult result_;
   StreamingStats stats_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 
 #include "imaging/kernels/kernels.h"
 
@@ -12,6 +13,12 @@ void ColorFrequency::AddMasked(const Image& img, const Bitmap& mask) {
   RequireSameShape(img, mask, "ColorFrequency::AddMasked");
   total_ += kernels::ColorBucketHistogram(img.pixels(), mask.pixels(),
                                           counts_);
+}
+
+void ColorFrequency::Add(const ColorFrequency& other) {
+  std::transform(counts_.begin(), counts_.end(), other.counts_.begin(),
+                 counts_.begin(), std::plus<>());
+  total_ += other.total_;
 }
 
 std::vector<double> HueHistogram(const Image& img, const Bitmap& mask,

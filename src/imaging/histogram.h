@@ -25,6 +25,9 @@ class ColorFrequency {
 
   // Adds every pixel of `img` where `mask` is set.
   void AddMasked(const Image& img, const Bitmap& mask);
+  // Adds another histogram's counts. The counts are integers, so partial
+  // histograms merge exactly in any order.
+  void Add(const ColorFrequency& other);
 
   std::uint64_t Count(Rgb8 c) const {
     return counts_[static_cast<std::size_t>(ColorBucket(c))];

@@ -128,10 +128,12 @@ Status Daemon::Run() {
     return ready;
   }
   // Single-instance advisory lock: two daemons racing one spool would
-  // double-run jobs.
+  // double-run jobs. Close-on-exec, so workers do not inherit it: a worker
+  // orphaned by a killed daemon must not lock out the restarted one.
   const std::string lock_path =
       (fs::path(opts_.spool_root) / "daemon.lock").string();
-  const int lock_fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
+  const int lock_fd =
+      ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
   if (lock_fd < 0) {
     return Status(StatusCode::kIoError, "cannot open " + lock_path);
   }

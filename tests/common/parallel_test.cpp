@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -152,6 +154,60 @@ TEST_F(ParallelTest, RepeatedJobsReuseThePool) {
     EXPECT_EQ(sum.load(), 256L * 255 / 2);
   }
   EXPECT_LE(ThreadPool::Instance().worker_count(), 4);
+}
+
+TEST_F(ParallelTest, RunAdmitsAtMostMaxWorkers) {
+  // Grow the pool past the limit first, so idle workers exist that a job
+  // with a smaller max_workers must leave asleep.
+  ThreadPool::Instance().Run(4, 4, [](int) {});
+  std::mutex mu;
+  std::vector<std::thread::id> ran;
+  ThreadPool::Instance().Run(2, 32, [&](int) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    const std::lock_guard<std::mutex> lock(mu);
+    if (std::find(ran.begin(), ran.end(), std::this_thread::get_id()) ==
+        ran.end()) {
+      ran.push_back(std::this_thread::get_id());
+    }
+  });
+  EXPECT_LE(ran.size(), 2u);
+}
+
+// Busy work long enough that woken helpers join a job before the caller
+// has drained it alone.
+std::uint64_t Spin(std::int64_t i) {
+  volatile std::uint64_t x = static_cast<std::uint64_t>(i);
+  for (std::uint64_t k = 0; k < 200; ++k) x = x * 31 + k;
+  return x;
+}
+
+// Two call sites with different (stack-local) bodies taking turns, as the
+// streaming caller and decomposition passes do: a helper still holding the
+// previous job must never claim the next job's indices with the previous
+// body.
+TEST(PoolStressTest, AlternatingForAndShardSites) {
+  SetThreadCount(4);
+  for (int rep = 0; rep < 20000; ++rep) {
+    std::vector<int> hits(13, 0);
+    ParallelFor(0, 13, 1, [&](std::int64_t i) {
+      (void)Spin(i);
+      ++hits[static_cast<std::size_t>(i)];
+    });
+    ASSERT_EQ(std::count(hits.begin(), hits.end(), 1), 13) << "rep " << rep;
+
+    std::vector<std::int64_t> sums(static_cast<std::size_t>(NumShards(29)),
+                                   0);
+    ParallelShards(0, 29, 1, [&](int s, std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        (void)Spin(i);
+        sums[static_cast<std::size_t>(s)] += i;
+      }
+    });
+    ASSERT_EQ(std::accumulate(sums.begin(), sums.end(), std::int64_t{0}),
+              29 * 28 / 2)
+        << "rep " << rep;
+  }
+  SetThreadCount(0);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 // The workload mirrors the pipeline's two usage patterns and doubles as a
 // determinism check: per-shard integer-valued accumulation with serial
 // reduction (Reconstructor::Run) and dynamic task claiming with a
-// deterministic argmax reduction (MatchTemplate). Exits non-zero on any
-// mismatch; TSan itself aborts the run on a race.
+// deterministic argmax reduction (MatchTemplate), plus the two call sites
+// taking turns (the streaming caller and decomposition passes). Exits
+// non-zero on any mismatch; TSan itself aborts the run on a race.
 #include <cstdint>
 #include <cstdio>
 #include <utility>
@@ -32,6 +33,14 @@ std::uint64_t Rng(std::uint64_t& s) {
 }
 
 int failures = 0;
+
+// Busy work long enough that woken helpers join a job before the caller
+// has drained it alone.
+std::uint64_t Spin(std::int64_t i) {
+  volatile std::uint64_t x = static_cast<std::uint64_t>(i);
+  for (std::uint64_t k = 0; k < 200; ++k) x = x * 31 + k;
+  return x;
+}
 
 void Check(bool ok, const char* what) {
   if (!ok) {
@@ -117,6 +126,29 @@ int main() {
                 [&](std::int64_t i) { out[static_cast<std::size_t>(i)] = 1; });
     for (int v : out) Check(v == 1, "index skipped");
     if (failures) break;
+  }
+
+  // Alternate a ParallelFor site with a ParallelShards site, each with a
+  // fresh stack-local body: a helper still holding one job must never run
+  // the next job's tasks with the previous body.
+  for (int rep = 0; rep < 2000 && failures == 0; ++rep) {
+    std::vector<int> hits(13, 0);
+    ParallelFor(0, 13, 1, [&](std::int64_t i) {
+      (void)Spin(i);
+      ++hits[static_cast<std::size_t>(i)];
+    });
+    for (int v : hits) Check(v == 1, "alternating: index not run once");
+    std::vector<std::int64_t> sums(static_cast<std::size_t>(NumShards(29)),
+                                   0);
+    ParallelShards(0, 29, 1, [&](int s, std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        (void)Spin(i);
+        sums[static_cast<std::size_t>(s)] += i;
+      }
+    });
+    std::int64_t total = 0;
+    for (std::int64_t v : sums) total += v;
+    Check(total == 29 * 28 / 2, "alternating: shard sums wrong");
   }
 
   if (failures == 0) std::printf("parallel_tsan_check: OK\n");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "imaging/draw.h"
 
 namespace bb::core {
@@ -10,20 +13,10 @@ namespace {
 using imaging::Bitmap;
 using imaging::Image;
 
-// A fake segmenter returning a fixed mask.
-class FixedSegmenter final : public segmentation::PersonSegmenter {
- public:
-  explicit FixedSegmenter(Bitmap mask) : mask_(std::move(mask)) {}
-  Bitmap Segment(const imaging::Image&, int) override { return mask_; }
-
- private:
-  Bitmap mask_;
-};
-
 // A call where the "caller" is a blue square but the segmenter's mask also
 // swallows a strip of green background on the right.
 struct Fixture {
-  video::VideoStream call{10.0};
+  std::vector<Image> call;
   Bitmap over_mask{48, 32};
 
   Fixture() {
@@ -32,20 +25,26 @@ struct Fixture {
       Image f(48, 32, {210, 210, 210});
       imaging::FillRect(f, {10, 8, 20, 16}, {30, 40, 180});  // caller (blue)
       imaging::FillRect(f, {30, 8, 4, 16}, {40, 170, 60});   // leak (green)
-      call.Append(std::move(f));
+      call.push_back(std::move(f));
     }
+  }
+
+  // The caller pass's color model: every frame under its raw mask.
+  imaging::ColorFrequency CallerColors() const {
+    imaging::ColorFrequency colors;
+    for (const Image& f : call) colors.AddMasked(f, over_mask);
+    return colors;
   }
 };
 
 TEST(CallerMaskingTest, RefinementDropsRareColors) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
   CallerMaskingOptions opts;
   opts.rare_color_frequency = 0.25;  // green strip is ~17% of mask: rare
   opts.protect_core_px = 2.0;
-  CallerMasker masker(seg, opts);
-  masker.Prepare(f.call);
-  const Bitmap vcm = masker.Vcm(f.call, 0);
+  CallerMasker masker(opts);
+  masker.SetCallerColors(f.CallerColors());
+  const Bitmap vcm = masker.Refine(f.call[0], f.over_mask);
   // Blue core retained.
   EXPECT_TRUE(vcm(15, 15));
   // Green strip at the mask boundary flipped out.
@@ -54,13 +53,12 @@ TEST(CallerMaskingTest, RefinementDropsRareColors) {
 
 TEST(CallerMaskingTest, CoreIsProtectedFromFlipping) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
   CallerMaskingOptions opts;
   opts.rare_color_frequency = 1.1;  // everything is "rare"
   opts.protect_core_px = 5.0;
-  CallerMasker masker(seg, opts);
-  masker.Prepare(f.call);
-  const Bitmap vcm = masker.Vcm(f.call, 0);
+  CallerMasker masker(opts);
+  masker.SetCallerColors(f.CallerColors());
+  const Bitmap vcm = masker.Refine(f.call[0], f.over_mask);
   // Deep interior survives even an absurd threshold.
   EXPECT_TRUE(vcm(20, 16));
   // Boundary does not.
@@ -69,28 +67,24 @@ TEST(CallerMaskingTest, CoreIsProtectedFromFlipping) {
 
 TEST(CallerMaskingTest, DisabledRefinementKeepsRawMask) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
   CallerMaskingOptions opts;
   opts.rare_color_frequency = 0.0;
-  CallerMasker masker(seg, opts);
-  masker.Prepare(f.call);
-  EXPECT_EQ(masker.Vcm(f.call, 3), f.over_mask);
+  CallerMasker masker(opts);
+  masker.SetCallerColors(f.CallerColors());
+  EXPECT_EQ(masker.Refine(f.call[3], f.over_mask), f.over_mask);
 }
 
-TEST(CallerMaskingTest, RawMaskAccessor) {
+TEST(CallerMaskingTest, RefineThrowsWithoutCallerColors) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
-  CallerMasker masker(seg);
-  masker.Prepare(f.call);
-  EXPECT_EQ(masker.RawSegmenterMask(5), f.over_mask);
+  CallerMasker masker;
+  EXPECT_THROW((void)masker.Refine(f.call[0], f.over_mask), std::logic_error);
 }
 
-TEST(CallerMaskingTest, ThrowsWhenNotPrepared) {
+TEST(CallerMaskingTest, EmptyColorModelKeepsRawMask) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
-  CallerMasker masker(seg);
-  EXPECT_THROW(masker.Vcm(f.call, 0), std::logic_error);
-  EXPECT_THROW(masker.RawSegmenterMask(0), std::logic_error);
+  CallerMasker masker;
+  masker.SetCallerColors(imaging::ColorFrequency());
+  EXPECT_EQ(masker.Refine(f.call[0], f.over_mask), f.over_mask);
 }
 
 }  // namespace

@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/faultinject.h"
 #include "common/parallel.h"
 #include "core/metrics.h"
 #include "segmentation/segmenter.h"
@@ -178,7 +184,10 @@ TEST(StreamingStatsTest, PeakResidencyBoundedByWindowAndPoolRecycles) {
   // Steady state recycles a fixed buffer set: misses stay around one
   // window's worth, far below one per frame.
   EXPECT_LT(stats.pool_misses, stats.frames_pushed);
-  EXPECT_FALSE(stats.raw_masks_cached);  // window < call length
+  // Raw masks are cached whatever the window: one segmentation per frame.
+  EXPECT_EQ(stats.segments,
+            static_cast<std::uint64_t>(f.call.video.frame_count()));
+  EXPECT_GT(stats.raw_mask_bytes, 0u);
 }
 
 TEST(StreamingProtocolTest, WindowCoveringWholeCallCachesRawMasks) {
@@ -190,7 +199,8 @@ TEST(StreamingProtocolTest, WindowCoveringWholeCallCachesRawMasks) {
   StreamingReconstructor streaming(ref, seg, opts);
   video::VideoStreamSource source(f.call.video);
   ASSERT_TRUE(streaming.Run(source).ok());
-  EXPECT_TRUE(streaming.stats().raw_masks_cached);
+  EXPECT_EQ(streaming.stats().segments,
+            static_cast<std::uint64_t>(f.call.video.frame_count()));
   EXPECT_EQ(streaming.stats().window_flushes, 1u);
 }
 
@@ -226,6 +236,183 @@ TEST(StreamingProtocolTest, SegmenterFailuresPropagate) {
   StreamingReconstructor streaming(ref, seg, opts);
   video::VideoStreamSource source(f.call.video);
   EXPECT_THROW((void)streaming.Run(source), std::out_of_range);
+}
+
+// Forwards to a segmenter and counts Segment() calls per frame.
+class CountingSegmenter final : public segmentation::PersonSegmenter {
+ public:
+  CountingSegmenter(segmentation::PersonSegmenter& inner, int frames)
+      : inner_(inner), calls_(static_cast<std::size_t>(frames)) {}
+
+  int AnalysisPasses() const override { return inner_.AnalysisPasses(); }
+  void BeginAnalysisPass(int pass, const video::StreamInfo& info) override {
+    inner_.BeginAnalysisPass(pass, info);
+  }
+  void PushAnalysisFrame(int pass, const Image& frame,
+                         int frame_index) override {
+    inner_.PushAnalysisFrame(pass, frame, frame_index);
+  }
+  void EndAnalysisPass(int pass) override { inner_.EndAnalysisPass(pass); }
+  imaging::Bitmap Segment(const Image& frame, int frame_index) override {
+    calls_[static_cast<std::size_t>(frame_index)].fetch_add(
+        1, std::memory_order_relaxed);
+    return inner_.Segment(frame, frame_index);
+  }
+
+  int Calls(int frame_index) const {
+    return calls_[static_cast<std::size_t>(frame_index)].load();
+  }
+  std::uint64_t Total() const {
+    std::uint64_t total = 0;
+    for (const auto& c : calls_) total += static_cast<std::uint64_t>(c.load());
+    return total;
+  }
+
+ private:
+  segmentation::PersonSegmenter& inner_;
+  std::vector<std::atomic<int>> calls_;
+};
+
+// Every frame outside `quarantined` was segmented exactly once.
+void ExpectSegmentedOnce(const CountingSegmenter& seg, int frames,
+                         const std::vector<int>& quarantined,
+                         const std::string& what) {
+  for (int i = 0; i < frames; ++i) {
+    const bool bad = std::find(quarantined.begin(), quarantined.end(), i) !=
+                     quarantined.end();
+    EXPECT_EQ(seg.Calls(i), bad ? 0 : 1) << what << " frame " << i;
+  }
+}
+
+class SegmentOnceTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    common::SetThreadCount(0);
+    faultinject::Clear();
+  }
+};
+
+TEST_F(SegmentOnceTest, BatchSegmentsEachFrameOnce) {
+  const StreamFixture& f = StreamFixture::Shared();
+  const int frames = f.call.video.frame_count();
+  const VbReference ref = VbReference::KnownImage(f.vb_image);
+  for (int threads : {1, 4}) {
+    common::SetThreadCount(threads);
+    // The CLI path's segmenter, with its two analysis passes.
+    segmentation::ClassicalSegmenter classical;
+    CountingSegmenter seg(classical, frames);
+    Reconstructor batch(ref, seg);
+    (void)batch.Run(f.call.video);
+    ExpectSegmentedOnce(seg, frames, {}, "batch");
+  }
+}
+
+TEST_F(SegmentOnceTest, StreamSegmentsOnlyOnTheCallerPass) {
+  const StreamFixture& f = StreamFixture::Shared();
+  const int frames = f.call.video.frame_count();
+  const VbReference ref = VbReference::KnownImage(f.vb_image);
+  for (int threads : {1, 4}) {
+    common::SetThreadCount(threads);
+    for (int window : {1, 7, 64, frames, 3 * frames}) {
+      const std::string what = "threads " + std::to_string(threads) +
+                               " window " + std::to_string(window);
+      segmentation::NoisyOracleSegmenter oracle(f.raw.caller_masks, {}, 7);
+      CountingSegmenter seg(oracle, frames);
+      StreamingOptions opts;
+      opts.window_frames = window;
+      StreamingReconstructor streaming(ref, seg, opts);
+      video::VideoStreamSource source(f.call.video);
+      streaming.Begin(source.info());
+      const int caller_pass = streaming.TotalPasses() - 2;
+      for (int pass = 0; pass < streaming.TotalPasses(); ++pass) {
+        streaming.BeginPass(pass);
+        for (int i = 0; i < frames; ++i) {
+          streaming.PushFrame(f.call.video.frame(i), i);
+        }
+        streaming.EndPass(pass);
+        // The caller pass has segmented every frame; the decomposition
+        // pass must not segment any.
+        if (pass >= caller_pass) ExpectSegmentedOnce(seg, frames, {}, what);
+      }
+      (void)streaming.Finalize();
+      EXPECT_EQ(streaming.stats().segments,
+                static_cast<std::uint64_t>(frames))
+          << what;
+    }
+  }
+}
+
+TEST_F(SegmentOnceTest, QuarantinedFramesAreNeverSegmented) {
+  const StreamFixture& f = StreamFixture::Shared();
+  const int frames = f.call.video.frame_count();
+  const VbReference ref = VbReference::KnownImage(f.vb_image);
+  common::SetThreadCount(4);
+  ASSERT_TRUE(faultinject::Configure("source@5=fail,source@21=fail").ok());
+  segmentation::NoisyOracleSegmenter oracle(f.raw.caller_masks, {}, 7);
+  CountingSegmenter seg(oracle, frames);
+  StreamingOptions opts;
+  opts.window_frames = 7;
+  StreamingReconstructor streaming(ref, seg, opts);
+  video::VideoStreamSource source(f.call.video);
+  ASSERT_TRUE(streaming.Run(source).ok());
+  EXPECT_EQ(streaming.QuarantinedFrames(), (std::vector<int>{5, 21}));
+  ExpectSegmentedOnce(seg, frames, {5, 21}, "quarantine");
+}
+
+TEST_F(SegmentOnceTest, ShardWorkerSegmentsEachFrameOnce) {
+  const StreamFixture& f = StreamFixture::Shared();
+  const int frames = f.call.video.frame_count();
+  const VbReference ref = VbReference::KnownImage(f.vb_image);
+  common::SetThreadCount(4);
+  segmentation::NoisyOracleSegmenter oracle(f.raw.caller_masks, {}, 7);
+  CountingSegmenter seg(oracle, frames);
+  StreamingOptions opts;
+  opts.window_frames = 7;
+  opts.shard_index = 1;
+  opts.shard_count = 3;
+  StreamingReconstructor streaming(ref, seg, opts);
+  video::VideoStreamSource source(f.call.video);
+  ASSERT_TRUE(streaming.RunPartial(source).ok());
+  // The caller pass covers the whole stream (global color model); only
+  // this worker's slice is decomposed, from the cached masks.
+  ExpectSegmentedOnce(seg, frames, {}, "shard 1/3");
+}
+
+TEST_F(SegmentOnceTest, ResumedRunSegmentsEachFrameOnce) {
+  const StreamFixture& f = StreamFixture::Shared();
+  const int frames = f.call.video.frame_count();
+  const VbReference ref = VbReference::KnownImage(f.vb_image);
+  const std::string path =
+      ::testing::TempDir() + "bb_segment_once_resume.bbck";
+  std::remove(path.c_str());
+  common::SetThreadCount(4);
+  StreamingOptions opts;
+  opts.window_frames = 10;
+  opts.checkpoint_path = path;
+  {
+    // Interrupted after two decomposition flushes (frames [0, 20)).
+    segmentation::NoisyOracleSegmenter oracle(f.raw.caller_masks, {}, 7);
+    StreamingReconstructor interrupted(ref, oracle, opts);
+    video::VideoStreamSource source(f.call.video);
+    interrupted.Begin(source.info());
+    interrupted.BeginPass(0);
+    for (int i = 0; i < frames; ++i) {
+      interrupted.PushFrame(f.call.video.frame(i), i);
+    }
+    interrupted.EndPass(0);
+    interrupted.BeginPass(1);
+    for (int i = 0; i < 25; ++i) {
+      interrupted.PushFrame(f.call.video.frame(i), i);
+    }
+  }
+  segmentation::NoisyOracleSegmenter oracle(f.raw.caller_masks, {}, 7);
+  CountingSegmenter seg(oracle, frames);
+  StreamingReconstructor resumed(ref, seg, opts);
+  video::VideoStreamSource source(f.call.video);
+  ASSERT_TRUE(resumed.Run(source).ok());
+  ASSERT_TRUE(resumed.stats().resumed);
+  EXPECT_EQ(resumed.stats().resume_frames_done, 20);
+  ExpectSegmentedOnce(seg, frames, {}, "resumed");
 }
 
 }  // namespace

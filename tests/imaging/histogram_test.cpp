@@ -33,6 +33,23 @@ TEST(ColorFrequencyTest, AddMaskedHonorsMask) {
   EXPECT_EQ(freq.Count({100, 0, 0}), 0u);
 }
 
+TEST(ColorFrequencyTest, AddMergesPartialHistogramsExactly) {
+  ColorFrequency a, b, whole;
+  for (const Rgb8 c : {Rgb8{10, 20, 30}, Rgb8{200, 0, 0}, Rgb8{10, 20, 30}}) {
+    a.Add(c);
+    whole.Add(c);
+  }
+  for (const Rgb8 c : {Rgb8{200, 0, 0}, Rgb8{0, 0, 90}}) {
+    b.Add(c);
+    whole.Add(c);
+  }
+  a.Add(b);
+  EXPECT_EQ(a.total(), whole.total());
+  for (const Rgb8 c : {Rgb8{10, 20, 30}, Rgb8{200, 0, 0}, Rgb8{0, 0, 90}}) {
+    EXPECT_EQ(a.Count(c), whole.Count(c));
+  }
+}
+
 TEST(HueHistogramTest, PureHuesLandInExpectedBins) {
   Image img(3, 1);
   img(0, 0) = {255, 0, 0};  // hue 0

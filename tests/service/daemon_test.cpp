@@ -98,11 +98,29 @@ bool PollUntil(const std::function<bool()>& done, int timeout_ms) {
   return done();
 }
 
-// One simulated stream per fixture size, built once and shared read-only.
+// A scratch directory private to this test process, removed at exit.
+// ctest runs every test case as its own process, concurrently under -j; a
+// shared name would let one process rewrite a stream (or a reference
+// output) another one is reading.
+std::string ProcessTempPath(const std::string& name) {
+  static const struct Dir {
+    std::string path = (fs::temp_directory_path() /
+                        ("bb_daemon_" + std::to_string(::getpid())))
+                           .string();
+    Dir() { fs::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  } dir;
+  return (fs::path(dir.path) / name).string();
+}
+
+// One simulated stream per fixture size, built once per process and shared
+// read-only.
 const std::string& SmallStream() {
   static const std::string path = [] {
-    const std::string p =
-        (fs::temp_directory_path() / "bb_daemon_small.bbv").string();
+    const std::string p = ProcessTempPath("small.bbv");
     EXPECT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN +
                        "\" simulate --out " + p +
                        " --duration 2 --width 96 --height 72"
@@ -117,8 +135,7 @@ const std::string& SmallStream() {
 // lands mid-run, windowed small so many checkpoints seal along the way.
 const std::string& LongStream() {
   static const std::string path = [] {
-    const std::string p =
-        (fs::temp_directory_path() / "bb_daemon_long.bbv").string();
+    const std::string p = ProcessTempPath("long.bbv");
     EXPECT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN +
                        "\" simulate --out " + p + " --duration 12"
                        " > /dev/null 2>&1"),
@@ -135,8 +152,7 @@ std::string DirectReconstruction(const std::string& stream) {
   auto it = cache.find(stream);
   if (it != cache.end()) return it->second;
   const std::string out =
-      (fs::temp_directory_path() / ("bb_daemon_direct_" +
-       std::to_string(cache.size()))).string();
+      ProcessTempPath("direct_" + std::to_string(cache.size()));
   EXPECT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN + "\" attack --in " +
                      stream + " --stream --out " + out +
                      " > /dev/null 2>&1"),
@@ -545,7 +561,8 @@ TEST_F(DaemonTest, KillNineOfTheDaemonIsRecoveredOnRestart) {
   // restart requeues and completes it.
   EXPECT_TRUE(fs::exists(running));
   Daemon daemon(Opts());
-  ASSERT_TRUE(daemon.Run().ok());
+  const Status restarted = daemon.Run();
+  ASSERT_TRUE(restarted.ok()) << restarted.ToString();
   EXPECT_EQ(daemon.stats().jobs_requeued, 1);
   EXPECT_EQ(daemon.stats().jobs_done, 1);
   EXPECT_EQ(ReadAll(OutBase("kill9") + ".png"),

@@ -78,6 +78,8 @@ build-check/tools/report_check \
   --require-memory stream.window_flushes \
   --require-memory stream.pool_hits \
   --require-memory stream.pool_misses \
+  --require-memory stream.segments \
+  --require-memory stream.raw_mask_bytes \
   --require-degradation stream.frames_quarantined \
   --require-degradation stream.bad_frame_events \
   --require-degradation stream.faults_fired \
@@ -261,7 +263,7 @@ step "ThreadSanitizer build + determinism/parallel suites"
 cmake -B build-check-tsan -S . -DBB_SANITIZE=thread -DBB_WERROR=ON
 cmake --build build-check-tsan -j "$JOBS"
 ctest --test-dir build-check-tsan --output-on-failure -j "$JOBS" \
-      -R 'determinism|Parallel|common|core'
+      -R 'determinism|Parallel|PoolStress|common|core'
 
 step "UndefinedBehaviorSanitizer build + full test suite"
 cmake -B build-check-ubsan -S . -DBB_SANITIZE=undefined -DBB_WERROR=ON
