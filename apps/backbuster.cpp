@@ -329,10 +329,7 @@ int Attack(const cli::Args& args) {
         "                    scores are bit-identical either way\n"
         "  --threads N       worker threads (default: BB_THREADS env,\n"
         "                    else all hardware threads)\n"
-        "  --trace FILE      write per-stage timings/counters as JSON\n"
-        "\n"
-        "BB_KERNEL=scalar|vector selects the pixel-kernel implementation\n"
-        "(bit-identical results; default vector).\n",
+        "  --trace FILE      write per-stage timings/counters as JSON\n",
         core::kDefaultPhi);
     return 0;
   }
@@ -545,21 +542,23 @@ int Attack(const cli::Args& args) {
               call->frame_count(), call->width(), call->height(),
               call->fps());
 
-  // Build the VB reference the way a real adversary would.
-  core::VbReference ref = core::VbReference::DeriveImage(*call);
+  // Build the VB reference the way a real adversary would: a known stock
+  // image when named, otherwise derived from the footage.
+  std::optional<core::VbReference> ref;
   if (stock) {
     ref = core::VbReference::KnownImage(
         vbg::MakeStockImage(*stock, call->width(), call->height()));
     std::printf("using known stock VB '%s'\n", vb_name->c_str());
   } else {
+    ref = core::VbReference::DeriveImage(*call);
     std::printf("derived VB from footage (%.1f%% of the frame)\n",
-                100.0 * ref.ValidFraction());
+                100.0 * ref->ValidFraction());
   }
 
   segmentation::ClassicalSegmenter segmenter;
   core::ReconstructionOptions opts;
   opts.phi = phi;
-  core::Reconstructor reconstructor(ref, segmenter, opts);
+  core::Reconstructor reconstructor(*ref, segmenter, opts);
   const core::ReconstructionResult rec = reconstructor.Run(*call);
   return FinishAttack(rec, call->width(), call->height(), truth_path,
                       out_base, locate_paths, no_prune);

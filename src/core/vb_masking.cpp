@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/trace.h"
 #include "imaging/color.h"
 #include "imaging/kernels/kernels.h"
 #include "video/temporal.h"
@@ -107,6 +108,7 @@ VbReference VbReference::KnownVideo(std::vector<Image> frames) {
 VbReference VbReference::DeriveImage(const video::VideoStream& call,
                                      int min_stable_run,
                                      int channel_tolerance) {
+  const trace::ScopedTimer timer("vb.derive");
   const auto layer = video::EstimateStaticLayer(call, min_stable_run,
                                                 {channel_tolerance});
   VbReference ref;
@@ -137,6 +139,7 @@ std::optional<VbReference> VbReference::DeriveVideo(
 VbReference VbReference::DeriveImageStreaming(video::FrameSource& source,
                                               int min_stable_run,
                                               int channel_tolerance) {
+  const trace::ScopedTimer timer("vb.derive");
   source.Reset();
   video::StaticLayerAccumulator acc(
       video::ConsistencyOptions{channel_tolerance});

@@ -5,8 +5,8 @@
 // include nothing above it, and imaging/image.h / imaging/color.h re-export
 // these names (same bb::imaging namespace) so existing call sites are
 // unaffected. Everything here is a pure per-element function: no loops, no
-// accumulation, no allocation — the properties that make the scalar and
-// vector kernel implementations bit-identical.
+// accumulation, no allocation — so a kernel's result never depends on how
+// its caller splits a frame into spans.
 #pragma once
 
 #include <algorithm>

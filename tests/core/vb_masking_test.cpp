@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/trace.h"
 #include "imaging/color.h"
 #include "imaging/draw.h"
 #include "synth/recorder.h"
+#include "video/frame_source.h"
 #include "vbg/compositor.h"
 #include "vbg/virtual_source.h"
 
@@ -63,6 +65,35 @@ TEST(VbReferenceTest, KnownImageIsFullyValid) {
   const auto ref = VbReference::KnownImage(Image(10, 10, {1, 2, 3}));
   EXPECT_FALSE(ref.is_video());
   EXPECT_DOUBLE_EQ(ref.ValidFraction(), 1.0);
+}
+
+// Both derivations are timed as the vb.derive trace stage, once per call,
+// and the streaming one derives the same reference as the batch one.
+TEST(VbReferenceTest, DerivationsRecordOneVbDeriveStageEach) {
+  const auto raw = SmallRecording();
+  const vbg::StaticImageSource vb(
+      vbg::MakeStockImage(vbg::StockImage::kGradient, 96, 72));
+  const auto call = vbg::ApplyVirtualBackground(raw, vb);
+  const auto vb_derive_calls = [] {
+    for (const trace::StageStats& st : trace::Capture().stages) {
+      if (st.name == "vb.derive") return st.calls;
+    }
+    return std::uint64_t{0};
+  };
+
+  trace::Reset();
+  trace::Enable();
+  const VbReference batch = VbReference::DeriveImage(call.video);
+  EXPECT_EQ(vb_derive_calls(), 1u);
+  video::VideoStreamSource source(call.video);
+  const VbReference streamed = VbReference::DeriveImageStreaming(source);
+  EXPECT_EQ(vb_derive_calls(), 2u);
+  trace::Disable();
+  trace::Reset();
+
+  const Image& frame = call.video.frame(0);
+  EXPECT_EQ(batch.ImageFor(frame, 0), streamed.ImageFor(frame, 0));
+  EXPECT_EQ(batch.ValidFor(frame, 0), streamed.ValidFor(frame, 0));
 }
 
 TEST(VbReferenceTest, DeriveImageRecoversStaticPixels) {

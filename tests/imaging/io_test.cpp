@@ -188,7 +188,7 @@ TEST(IoTest, ReadPngRejectsMissingFile) {
   EXPECT_FALSE(ReadPng(TempPath("bb_missing.png")).has_value());
 }
 
-TEST(IoTest, ReadImageAutoDispatchesByExtension) {
+TEST(IoTest, ReadImageAutoPicksFormatByExtension) {
   const Image img = TestPattern(7, 5);
   const std::string ppm = TempPath("bb_auto_read.ppm");
   ASSERT_TRUE(WritePpm(img, ppm));

@@ -29,11 +29,13 @@
 #      pinned INVALID_JOB_RECORD reason, the daemon throughput gauges in
 #      the perf report (report_check --require-measured), and the service
 #      test label (spool/job-record units + supervised-daemon chaos)
-#   8. kernel smoke: the same CLI attack + location ranking under
-#      BB_KERNEL=vector and =scalar, pruned and --no-prune - all four
-#      reconstructions and rankings must be byte-identical - plus the
-#      kernel/pruning gauges in the perf report (report_check
-#      --require-measured) and the kernel/pruned-search test labels
+#   8. kernel smoke: the same CLI attack + location ranking pruned and
+#      --no-prune - both reconstructions and rankings must be
+#      byte-identical, and the true background must outrank the decoy -
+#      with a traced stock-VB (--vb office) attack that must record no
+#      vb.derive stage while the default attack records one, plus the
+#      pruning gauges in the perf report (report_check --require-measured)
+#      and the kernel/pruned-search tests
 #   9. ThreadSanitizer build, determinism / parallel-runtime suites
 #   10. UndefinedBehaviorSanitizer build, full ctest suite (minus
 #      bench-smoke: the benches are already covered by step 2 and would
@@ -210,7 +212,7 @@ build-check/tools/report_check \
   "$CONTAINER_REPORT_DIR/BENCH_perf.json"
 ctest --test-dir build-check --output-on-failure -j "$JOBS" -L service
 
-step "kernel smoke: dispatch + pruning cannot move the bits"
+step "kernel smoke: pruning cannot move the bits"
 KERNEL_DIR="build-check/kernel-smoke"
 mkdir -p "$KERNEL_DIR"
 build-check/apps/backbuster simulate --out "$KERNEL_DIR/call.bbv" \
@@ -220,32 +222,37 @@ build-check/apps/backbuster simulate --out "$KERNEL_DIR/decoy.bbv" \
   --truth-out "$KERNEL_DIR/decoy" > /dev/null
 TRUTH="$KERNEL_DIR/call.bbv.truth.ppm"
 LOCATE="$KERNEL_DIR/decoy.ppm,$TRUTH"
-# The same attack + location ranking under both kernel dispatches and both
-# search modes. Reconstruction bytes and ranked scores must be identical
-# in all four runs; only trace counters (diagnostics) may differ.
-for variant in vector_pruned vector_noprune scalar_pruned scalar_noprune; do
+# The same attack + location ranking in both search modes. Reconstruction
+# bytes and ranked scores must be identical; only trace counters
+# (diagnostics) may differ.
+for variant in pruned noprune; do
   case "$variant" in
-    vector_*) KERNEL=vector ;;
-    scalar_*) KERNEL=scalar ;;
+    pruned)  PRUNE_FLAGS="" ;;
+    noprune) PRUNE_FLAGS="--no-prune" ;;
   esac
-  case "$variant" in
-    *_pruned)  PRUNE_FLAGS="" ;;
-    *_noprune) PRUNE_FLAGS="--no-prune" ;;
-  esac
-  BB_KERNEL="$KERNEL" build-check/apps/backbuster attack \
+  build-check/apps/backbuster attack \
     --in "$KERNEL_DIR/call.bbv" --vb office --truth "$TRUTH" \
     --locate "$LOCATE" --out "$KERNEL_DIR/$variant" $PRUNE_FLAGS \
+    --trace "$KERNEL_DIR/$variant.trace.json" \
     | grep -E 'recovered|RBRR|score' > "$KERNEL_DIR/$variant.out"
 done
-BASE="$(ls "$KERNEL_DIR"/vector_pruned.p?? | head -n 1)"
-for variant in vector_noprune scalar_pruned scalar_noprune; do
-  cmp "$BASE" "${BASE/vector_pruned/$variant}"
-  diff "$KERNEL_DIR/vector_pruned.out" "$KERNEL_DIR/$variant.out"
-done
+BASE="$(ls "$KERNEL_DIR"/pruned.p?? | head -n 1)"
+cmp "$BASE" "${BASE/pruned/noprune}"
+diff "$KERNEL_DIR/pruned.out" "$KERNEL_DIR/noprune.out"
 # The true background must outrank the decoy.
-head -n 3 "$KERNEL_DIR/vector_pruned.out" | grep -q 'truth'
-# Kernel/pruning gauges live in the step-4 perf report (probes run
-# unfiltered there); the identity + speedup numbers must be present.
+head -n 3 "$KERNEL_DIR/pruned.out" | grep -q 'truth'
+# A named stock VB replaces derivation: no vb.derive stage may be recorded.
+# The default (derived-VB) attack records one, so the check is not vacuous.
+if grep -q '"vb.derive"' "$KERNEL_DIR/pruned.trace.json"; then
+  echo "attack --vb office derived a VB it does not use" >&2
+  exit 1
+fi
+build-check/apps/backbuster attack --in "$KERNEL_DIR/call.bbv" \
+  --out "$KERNEL_DIR/derived" --trace "$KERNEL_DIR/derived.trace.json" \
+  > /dev/null
+grep -q '"vb.derive"' "$KERNEL_DIR/derived.trace.json"
+# Pruning gauges live in the step-4 perf report (probes run unfiltered
+# there); the speedup numbers must be present.
 build-check/tools/report_check \
   --require-measured 'match_template.exhaustive [s]' \
   --require-measured 'match_template.pruned [s]' \
@@ -253,8 +260,6 @@ build-check/tools/report_check \
   --require-measured 'location.exhaustive [s]' \
   --require-measured 'location.pruned [s]' \
   --require-measured location.prune_speedup \
-  --require-measured 'kernel.sad_rgb.scalar [s]' \
-  --require-measured 'kernel.sad_rgb.vector [s]' \
   "$CONTAINER_REPORT_DIR/BENCH_perf.json"
 ctest --test-dir build-check --output-on-failure -j "$JOBS" \
       -R 'Kernel|kernels|Pruned'
