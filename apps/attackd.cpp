@@ -59,10 +59,7 @@ int Usage() {
 
 int main(int argc, char** argv) {
   const cli::Args args = cli::Args::Parse(argc, argv, {"help", "drain-once"});
-  for (const auto& err : args.errors()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-  }
-  if (!args.errors().empty()) return 2;
+  if (const int rc = cli::ReportErrors(args)) return rc;
   if (args.GetFlag("help")) {
     (void)Usage();
     return 0;
@@ -96,10 +93,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "fault injection active: %s\n", faults->c_str());
   }
-  for (const auto& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
-  }
-  if (!args.UnconsumedKeys().empty()) return 2;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
 
   // Graceful drain: the first SIGTERM/SIGINT checkpoints and requeues the
   // in-flight job, then exits cleanly.

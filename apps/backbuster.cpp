@@ -10,10 +10,12 @@
 //       Runs the reconstruction framework on any .bbv stream like a real
 //       adversary: derives the VB from the footage (or matches a stock
 //       image) and segments the caller classically - no ground truth used.
-//       Writes the reconstruction + coverage and prints statistics. When
-//       --truth <image.ppm> is given, verified RBRR is reported too.
+//       The call is streamed from disk, never more than --window frames
+//       resident. Writes the reconstruction + coverage and prints
+//       statistics. When --truth <image.ppm> is given, verified RBRR is
+//       reported too.
 //
-//   backbuster attack --in call.bbv --stream --shard I/N [options]
+//   backbuster attack --in call.bbv --shard I/N [options]
 //       Map phase of the sharded attack: decomposes only the I-th of N
 //       equal frame ranges and writes a sealed mergeable partial (.bbpr)
 //       instead of a reconstruction. N workers can run concurrently on
@@ -30,7 +32,9 @@
 #include <signal.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,11 +123,10 @@ std::optional<vbg::StockImage> StockByName(const std::string& name) {
   return std::nullopt;
 }
 
-int RejectUnknown(const cli::Args& args) {
-  for (const auto& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
-  }
-  return args.UnconsumedKeys().empty() ? 0 : 2;
+// A bad option value is a usage error: exit 2, like an unknown option.
+int UsageError(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 2;
 }
 
 // ---- simulate -------------------------------------------------------------
@@ -160,33 +163,55 @@ int Simulate(const cli::Args& args) {
   datasets::E1Case c;
   const std::string action_name = args.Get("action", "arm_wave");
   const auto action = ActionByName(action_name);
-  if (!action) return Fail("unknown --action " + action_name);
+  if (!action) return UsageError("unknown --action " + action_name);
   c.action = *action;
   const std::string speed = args.Get("speed", "average");
-  c.speed = speed == "slow"      ? synth::SpeedClass::kSlow
-            : speed == "fast"    ? synth::SpeedClass::kFast
-            : synth::SpeedClass::kAverage;
+  if (speed == "slow") {
+    c.speed = synth::SpeedClass::kSlow;
+  } else if (speed == "fast") {
+    c.speed = synth::SpeedClass::kFast;
+  } else if (speed != "average") {
+    return UsageError("unknown --speed " + speed +
+                      " (want slow, average or fast)");
+  }
   c.participant = static_cast<int>(args.GetInt("participant", 0));
+  if (c.participant < 0 || c.participant >= datasets::kParticipantCount) {
+    return UsageError("--participant must be 0.." +
+                      std::to_string(datasets::kParticipantCount - 1));
+  }
   c.scene_seed = static_cast<std::uint64_t>(args.GetInt("scene-seed", 1));
-  c.lighting = args.Get("lighting", "on") == "off" ? synth::Lighting::kOff
-                                                   : synth::Lighting::kOn;
+  const std::string lighting = args.Get("lighting", "on");
+  if (lighting == "off") {
+    c.lighting = synth::Lighting::kOff;
+  } else if (lighting != "on") {
+    return UsageError("unknown --lighting " + lighting + " (want on or off)");
+  }
   c.duration_s = args.GetDouble("duration", 12.0);
+  if (!std::isfinite(c.duration_s) || c.duration_s <= 0.0) {
+    return UsageError("--duration must be > 0 seconds");
+  }
 
   datasets::SimScale scale;
   scale.width = static_cast<int>(args.GetInt("width", 192));
   scale.height = static_cast<int>(args.GetInt("height", 144));
+  if (scale.width < 1 || scale.height < 1) {
+    return UsageError("--width and --height must be >= 1");
+  }
   scale.fps = args.GetDouble("fps", 12.0);
+  if (!std::isfinite(scale.fps) || scale.fps <= 0.0) {
+    return UsageError("--fps must be > 0");
+  }
 
   const std::string vb_name = args.Get("vb", "beach");
   const auto vb_kind = StockByName(vb_name);
-  if (!vb_kind) return Fail("unknown --vb " + vb_name);
+  if (!vb_kind) return UsageError("unknown --vb " + vb_name);
 
   vbg::CompositeOptions copts;
   const std::string profile = args.Get("profile", "zoom");
   if (profile == "skype") {
     copts.profile = vbg::SkypeProfile();
   } else if (profile != "zoom") {
-    return Fail("unknown --profile " + profile);
+    return UsageError("unknown --profile " + profile);
   }
   const bool dynamic_vb = args.GetFlag("dynamic");
   if (dynamic_vb) {
@@ -194,10 +219,10 @@ int Simulate(const cli::Args& args) {
   }
   const std::string format = args.Get("format", "v2");
   if (format != "v1" && format != "v2") {
-    return Fail("unknown --format " + format + " (want v1 or v2)");
+    return UsageError("unknown --format " + format + " (want v1 or v2)");
   }
   const std::string truth_base = args.Get("truth-out", *out + ".truth");
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
 
   const synth::RawRecording raw = datasets::RecordE1(c, scale);
   const vbg::StaticImageSource vb(
@@ -301,24 +326,26 @@ int Attack(const cli::Args& args) {
   if (args.GetFlag("help")) {
     std::printf(
         "backbuster attack --in call.bbv\n"
+        "  The call is streamed from disk: at most --window frames are in\n"
+        "  memory, and the output bytes are the same at any --window and\n"
+        "  --threads.\n"
         "  --vb NAME         match a stock image (beach|office|...) instead\n"
         "                    of deriving the VB from the footage\n"
         "  --phi R           blending-blur radius (default %.1f)\n"
         "  --truth FILE      score against this image (.ppm or .png)\n"
         "  --out BASE        output image base name (default: <in>.recon)\n"
-        "  --stream          stream the .bbv instead of loading it: frame\n"
-        "                    memory is bounded by the window, not the call\n"
-        "  --window N        streaming window size in frames (default 64)\n"
+        "  --window N        frames held in memory at once (default 64)\n"
+        "  --stream          accepted for compatibility; every attack streams\n"
         "  --max-bad-frames B  fail once more than B frames are unreadable;\n"
         "                    B is a count (e.g. 5) or a percentage (e.g. 10%%)\n"
-        "                    of the stream (default: unlimited; needs --stream)\n"
-        "  --checkpoint FILE streaming progress checkpoint: written after\n"
-        "                    every window flush, resumed from on restart,\n"
-        "                    removed on success (needs --stream)\n"
+        "                    of the stream (default: unlimited)\n"
+        "  --checkpoint FILE progress checkpoint: written after every window\n"
+        "                    flush, resumed from on restart, removed on\n"
+        "                    success\n"
         "  --shard I/N       decompose only the I-th (0-based) of N equal\n"
         "                    frame ranges and write a sealed mergeable\n"
         "                    partial for `backbuster reduce` instead of a\n"
-        "                    reconstruction (needs --stream)\n"
+        "                    reconstruction\n"
         "  --partial-out F   partial output path (default:\n"
         "                    <in>.shard<I>of<N>.bbpr; needs --shard)\n"
         "  --locate F1,F2,.. rank these candidate background images by\n"
@@ -344,7 +371,9 @@ int Attack(const cli::Args& args) {
   if (no_prune && locate_paths.empty()) {
     return Fail("--no-prune only applies to the --locate search");
   }
-  const bool stream = args.GetFlag("stream");
+  // Every attack streams; the switch is still accepted so existing command
+  // lines keep working.
+  (void)args.GetFlag("stream");
   const int window = static_cast<int>(args.GetInt("window", 64));
   if (window < 1) return Fail("--window must be >= 1");
 
@@ -371,12 +400,8 @@ int Attack(const cli::Args& args) {
     } catch (const std::exception&) {
       return reject();
     }
-    if (!stream) return Fail("--max-bad-frames requires --stream");
   }
   const std::string checkpoint = args.Get("checkpoint", "");
-  if (!checkpoint.empty() && !stream) {
-    return Fail("--checkpoint requires --stream");
-  }
 
   // Shard mode: --shard I/N marks this process as the map-phase worker for
   // the I-th of N equal frame ranges.
@@ -386,14 +411,9 @@ int Attack(const cli::Args& args) {
     // ("0/0", "-1/4", " 1/4", "0x1/4", ...) are usage errors (exit 2)
     // naming what was wrong, not permissive stol prefixes.
     const auto parsed = cli::ParseShardSpec(*shard);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   parsed.status().message().c_str());
-      return 2;
-    }
+    if (!parsed.ok()) return UsageError(parsed.status().message());
     shard_index = parsed->index;
     shard_count = parsed->count;
-    if (!stream) return Fail("--shard requires --stream");
     if (truth_path) {
       return Fail(
           "--shard emits a partial, not a reconstruction; pass --truth to "
@@ -404,7 +424,7 @@ int Attack(const cli::Args& args) {
   if (!partial_out.empty() && shard_count == 0) {
     return Fail("--partial-out requires --shard");
   }
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
 
   std::optional<vbg::StockImage> stock;
   if (vb_name) {
@@ -412,96 +432,53 @@ int Attack(const cli::Args& args) {
     if (!stock) return Fail("unknown --vb " + *vb_name);
   }
 
-  if (stream) {
-    // Streaming path: the call is never materialized - the .bbv is pulled
-    // once per pass and at most `window` frames are resident.
-    auto source = video::BbvFileSource::Open(*in);
-    if (!source.ok()) return Fail(source.status().ToString());
-    const video::StreamInfo info = source->info();
-    std::printf("streaming %s: %d frames %dx%d @ %.1f fps (window %d)\n",
-                in->c_str(), info.frame_count, info.width, info.height,
-                info.fps, window);
+  // The call is never materialized: the .bbv is pulled once per pass and at
+  // most `window` frames are resident.
+  auto source = video::BbvFileSource::Open(*in);
+  if (!source.ok()) return Fail(source.status().ToString());
+  const video::StreamInfo info = source->info();
+  std::printf("streaming %s: %d frames %dx%d @ %.1f fps (window %d)\n",
+              in->c_str(), info.frame_count, info.width, info.height,
+              info.fps, window);
 
-    std::optional<core::VbReference> ref;
-    if (stock) {
-      ref = core::VbReference::KnownImage(
-          vbg::MakeStockImage(*stock, info.width, info.height));
-      std::printf("using known stock VB '%s'\n", vb_name->c_str());
-    } else {
-      ref = core::VbReference::DeriveImageStreaming(*source);
-      std::printf("derived VB from footage (%.1f%% of the frame)\n",
-                  100.0 * ref->ValidFraction());
-    }
+  // Build the VB reference the way a real adversary would: a known stock
+  // image when named, otherwise derived from the footage.
+  std::optional<core::VbReference> ref;
+  if (stock) {
+    ref = core::VbReference::KnownImage(
+        vbg::MakeStockImage(*stock, info.width, info.height));
+    std::printf("using known stock VB '%s'\n", vb_name->c_str());
+  } else {
+    ref = core::VbReference::DeriveImageStreaming(*source);
+    std::printf("derived VB from footage (%.1f%% of the frame)\n",
+                100.0 * ref->ValidFraction());
+  }
 
-    segmentation::ClassicalSegmenter segmenter;
-    core::StreamingOptions sopts;
-    sopts.window_frames = window;
-    sopts.recon.phi = phi;
-    sopts.max_bad_frames = max_bad_frames;
-    sopts.max_bad_fraction = max_bad_fraction;
-    sopts.checkpoint_path = checkpoint;
-    sopts.shard_index = shard_index;
-    sopts.shard_count = shard_count;
-    // VB reference identity, folded into the partial's config hash so the
-    // reducer refuses to merge partials built against different references.
-    sopts.config_salt = core::wire::Fnv1a64(
-        stock ? "stock:" + *vb_name : std::string("derived"));
-    // SIGINT/SIGTERM stop the run between frame pulls; with --checkpoint
-    // the in-flight window is flushed and sealed first, and the process
-    // exits 3 so supervisors (attackd) treat it as resumable.
-    InstallStopHandler();
-    sopts.stop = &g_stop;
-    core::StreamingReconstructor reconstructor(*ref, segmenter, sopts);
+  segmentation::ClassicalSegmenter segmenter;
+  core::StreamingOptions sopts;
+  sopts.window_frames = window;
+  sopts.recon.phi = phi;
+  sopts.max_bad_frames = max_bad_frames;
+  sopts.max_bad_fraction = max_bad_fraction;
+  sopts.checkpoint_path = checkpoint;
+  sopts.shard_index = shard_index;
+  sopts.shard_count = shard_count;
+  // VB reference identity, folded into the partial's config hash so the
+  // reducer refuses to merge partials built against different references.
+  sopts.config_salt = core::wire::Fnv1a64(
+      stock ? "stock:" + *vb_name : std::string("derived"));
+  // SIGINT/SIGTERM stop the run between frame pulls; with --checkpoint
+  // the in-flight window is flushed and sealed first, and the process
+  // exits 3 so supervisors (attackd) treat it as resumable.
+  InstallStopHandler();
+  sopts.stop = &g_stop;
+  core::StreamingReconstructor reconstructor(*ref, segmenter, sopts);
+  const core::StreamingStats& stats = reconstructor.stats();
 
-    const auto interrupted = [](const Status& status) {
-      return g_stop.load(std::memory_order_relaxed) &&
-             status.code() == StatusCode::kAborted;
-    };
-
-    if (shard_count > 0) {
-      // Map phase: emit a sealed mergeable partial for this frame range.
-      const auto run = reconstructor.RunPartial(*source);
-      const core::StreamingStats& stats = reconstructor.stats();
-      if (!reconstructor.checkpoint_status().ok()) {
-        std::fprintf(stderr, "warning: starting fresh: %s\n",
-                     reconstructor.checkpoint_status().ToString().c_str());
-      }
-      if (stats.resumed) {
-        std::printf("resumed from %s at frame %d/%d\n", checkpoint.c_str(),
-                    stats.resume_frames_done, info.frame_count);
-      }
-      if (!run.ok()) {
-        if (interrupted(run.status())) {
-          std::fprintf(stderr, "%s\n", run.status().message().c_str());
-          return kExitInterrupted;
-        }
-        return Fail(run.status().ToString());
-      }
-      std::printf("shard %d/%d decomposed frames [%d, %d)\n", shard_index,
-                  shard_count, stats.shard_range_begin,
-                  stats.shard_range_end);
-      if (stats.frames_quarantined > 0) {
-        std::printf(
-            "degraded: %d of %d frames were unreadable and quarantined "
-            "(%llu bad pulls across passes)\n",
-            stats.frames_quarantined, info.frame_count,
-            static_cast<unsigned long long>(stats.bad_frame_events));
-      }
-      const std::string partial_path =
-          partial_out.empty()
-              ? *in + ".shard" + std::to_string(shard_index) + "of" +
-                    std::to_string(shard_count) + ".bbpr"
-              : partial_out;
-      if (const Status saved = core::SavePartial(*run, partial_path);
-          !saved.ok()) {
-        return Fail(saved.ToString());
-      }
-      std::printf("wrote %s (mergeable partial)\n", partial_path.c_str());
-      return 0;
-    }
-
-    const auto run = reconstructor.Run(*source);
-    const core::StreamingStats& stats = reconstructor.stats();
+  // Reporting shared by both run modes: a discarded checkpoint, a resume,
+  // an interrupt (exit 3) or failure, and quarantined frames. Returns the
+  // exit code to stop with, 0 when the run succeeded.
+  const auto report = [&](const Status& run) {
     if (!reconstructor.checkpoint_status().ok()) {
       std::fprintf(stderr, "warning: starting fresh: %s\n",
                    reconstructor.checkpoint_status().ToString().c_str());
@@ -511,20 +488,13 @@ int Attack(const cli::Args& args) {
                   stats.resume_frames_done, info.frame_count);
     }
     if (!run.ok()) {
-      if (interrupted(run.status())) {
-        std::fprintf(stderr, "%s\n", run.status().message().c_str());
+      if (g_stop.load(std::memory_order_relaxed) &&
+          run.code() == StatusCode::kAborted) {
+        std::fprintf(stderr, "%s\n", run.message().c_str());
         return kExitInterrupted;
       }
-      return Fail(run.status().ToString());
+      return Fail(run.ToString());
     }
-    const core::ReconstructionResult& rec = *run;
-    std::printf(
-        "peak window residency %d/%d frames over %llu flushes "
-        "(pool: %llu hits, %llu misses)\n",
-        stats.peak_window_frames, stats.window_capacity,
-        static_cast<unsigned long long>(stats.window_flushes),
-        static_cast<unsigned long long>(stats.pool_hits),
-        static_cast<unsigned long long>(stats.pool_misses));
     if (stats.frames_quarantined > 0) {
       std::printf(
           "degraded: %d of %d frames were unreadable and quarantined "
@@ -532,36 +502,39 @@ int Attack(const cli::Args& args) {
           stats.frames_quarantined, info.frame_count,
           static_cast<unsigned long long>(stats.bad_frame_events));
     }
-    return FinishAttack(rec, info.width, info.height, truth_path, out_base,
-                        locate_paths, no_prune);
+    return 0;
+  };
+
+  if (shard_count > 0) {
+    // Map phase: emit a sealed mergeable partial for this frame range.
+    const auto run = reconstructor.RunPartial(*source);
+    if (const int rc = report(run.status())) return rc;
+    std::printf("shard %d/%d decomposed frames [%d, %d)\n", shard_index,
+                shard_count, stats.shard_range_begin, stats.shard_range_end);
+    const std::string partial_path =
+        partial_out.empty()
+            ? *in + ".shard" + std::to_string(shard_index) + "of" +
+                  std::to_string(shard_count) + ".bbpr"
+            : partial_out;
+    if (const Status saved = core::SavePartial(*run, partial_path);
+        !saved.ok()) {
+      return Fail(saved.ToString());
+    }
+    std::printf("wrote %s (mergeable partial)\n", partial_path.c_str());
+    return 0;
   }
 
-  const auto call = video::LoadBbv(*in);
-  if (!call.ok()) return Fail(call.status().ToString());
-  std::printf("loaded %s: %d frames %dx%d @ %.1f fps\n", in->c_str(),
-              call->frame_count(), call->width(), call->height(),
-              call->fps());
-
-  // Build the VB reference the way a real adversary would: a known stock
-  // image when named, otherwise derived from the footage.
-  std::optional<core::VbReference> ref;
-  if (stock) {
-    ref = core::VbReference::KnownImage(
-        vbg::MakeStockImage(*stock, call->width(), call->height()));
-    std::printf("using known stock VB '%s'\n", vb_name->c_str());
-  } else {
-    ref = core::VbReference::DeriveImage(*call);
-    std::printf("derived VB from footage (%.1f%% of the frame)\n",
-                100.0 * ref->ValidFraction());
-  }
-
-  segmentation::ClassicalSegmenter segmenter;
-  core::ReconstructionOptions opts;
-  opts.phi = phi;
-  core::Reconstructor reconstructor(*ref, segmenter, opts);
-  const core::ReconstructionResult rec = reconstructor.Run(*call);
-  return FinishAttack(rec, call->width(), call->height(), truth_path,
-                      out_base, locate_paths, no_prune);
+  const auto run = reconstructor.Run(*source);
+  if (const int rc = report(run.status())) return rc;
+  std::printf(
+      "peak window residency %d/%d frames over %llu flushes "
+      "(pool: %llu hits, %llu misses)\n",
+      stats.peak_window_frames, stats.window_capacity,
+      static_cast<unsigned long long>(stats.window_flushes),
+      static_cast<unsigned long long>(stats.pool_hits),
+      static_cast<unsigned long long>(stats.pool_misses));
+  return FinishAttack(*run, info.width, info.height, truth_path, out_base,
+                      locate_paths, no_prune);
 }
 
 // ---- reduce -----------------------------------------------------------------
@@ -598,7 +571,7 @@ int Reduce(const cli::Args& args) {
   if (no_prune && locate_paths.empty()) {
     return Fail("--no-prune only applies to the --locate search");
   }
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
 
   std::vector<core::PartialResult> partials;
   partials.reserve(paths.size());
@@ -633,7 +606,7 @@ int Reduce(const cli::Args& args) {
 int Info(const cli::Args& args) {
   const auto in = args.Get("in");
   if (!in) return Fail("info requires --in <file.bbv>");
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
   // Open as a source (index only) rather than loading every frame.
   auto source = video::BbvFileSource::Open(*in);
   if (!source.ok()) return Fail(source.status().ToString());
@@ -658,16 +631,11 @@ int main(int argc, char** argv) {
   // follows them on the command line).
   const cli::Args args =
       cli::Args::Parse(argc, argv, {"help", "dynamic", "stream", "no-prune"});
-  for (const auto& err : args.errors()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-  }
-  if (!args.errors().empty()) return 2;
-
-  if (const auto threads = args.GetInt("threads")) {
+  const auto threads = args.GetInt("threads");
+  if (const int rc = cli::ReportErrors(args)) return rc;
+  if (threads) {
     if (*threads < 1) return Fail("--threads must be >= 1");
     common::SetThreadCount(static_cast<int>(*threads));
-  } else if (args.Has("threads")) {
-    return Fail("--threads expects an integer");
   }
 
   // Global: --trace FILE collects stage timings/counters across whatever

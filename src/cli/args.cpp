@@ -1,5 +1,7 @@
 #include "cli/args.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace bb::cli {
@@ -63,8 +65,12 @@ std::optional<long> Args::GetInt(const std::string& key) const {
   const auto s = Get(key);
   if (!s) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(s->c_str(), &end, 10);
-  if (end == s->c_str() || *end != '\0') return std::nullopt;
+  if (end == s->c_str() || *end != '\0' || errno == ERANGE) {
+    errors_.push_back("--" + key + " expects an integer, got '" + *s + "'");
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -73,7 +79,10 @@ std::optional<double> Args::GetDouble(const std::string& key) const {
   if (!s) return std::nullopt;
   char* end = nullptr;
   const double v = std::strtod(s->c_str(), &end);
-  if (end == s->c_str() || *end != '\0') return std::nullopt;
+  if (end == s->c_str() || *end != '\0') {
+    errors_.push_back("--" + key + " expects a number, got '" + *s + "'");
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -91,6 +100,22 @@ std::vector<std::string> Args::UnconsumedKeys() const {
     if (!consumed_.count(key)) out.push_back(key);
   }
   return out;
+}
+
+int ReportErrors(const Args& args) {
+  for (const auto& err : args.errors()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+  }
+  return args.errors().empty() ? 0 : 2;
+}
+
+int RejectUnknown(const Args& args) {
+  const std::vector<std::string> unknown = args.UnconsumedKeys();
+  for (const auto& key : unknown) {
+    std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
+  }
+  const int rc = ReportErrors(args);
+  return unknown.empty() ? rc : 2;
 }
 
 }  // namespace bb::cli

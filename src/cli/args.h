@@ -38,7 +38,9 @@ class Args {
   // String value; `fallback` when absent.
   std::string Get(const std::string& key, const std::string& fallback) const;
 
-  // Typed accessors: nullopt when absent, parse errors are recorded.
+  // Typed accessors: nullopt (or `fallback`) when absent. A present value
+  // that does not parse also yields nullopt (or `fallback`) and records an
+  // error naming the key, so the caller's errors() check refuses it.
   std::optional<std::string> Get(const std::string& key) const;
   std::optional<long> GetInt(const std::string& key) const;
   std::optional<double> GetDouble(const std::string& key) const;
@@ -50,14 +52,22 @@ class Args {
   std::vector<std::string> UnconsumedKeys() const;
 
   // Parse-phase problems (e.g. "--key" at end expecting a value is fine -
-  // it becomes a boolean flag - but "---x" is malformed).
+  // it becomes a boolean flag - but "---x" is malformed), plus malformed
+  // values met by the typed accessors so far.
   const std::vector<std::string>& errors() const { return errors_; }
 
  private:
   std::string command_;
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
-  std::vector<std::string> errors_;
+  mutable std::vector<std::string> errors_;
 };
+
+// Usage errors exit 2. ReportErrors prints every errors() entry met so far
+// to stderr and returns 2 when there is any, else 0. RejectUnknown does the
+// same and also names every unconsumed key; call it after the command's
+// last Get.
+int ReportErrors(const Args& args);
+int RejectUnknown(const Args& args);
 
 }  // namespace bb::cli

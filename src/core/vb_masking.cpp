@@ -108,14 +108,8 @@ VbReference VbReference::KnownVideo(std::vector<Image> frames) {
 VbReference VbReference::DeriveImage(const video::VideoStream& call,
                                      int min_stable_run,
                                      int channel_tolerance) {
-  const trace::ScopedTimer timer("vb.derive");
-  const auto layer = video::EstimateStaticLayer(call, min_stable_run,
-                                                {channel_tolerance});
-  VbReference ref;
-  ref.derived_ = true;
-  ref.frames_.push_back(layer.color);
-  ref.valid_.push_back(layer.valid);
-  return ref;
+  video::VideoStreamSource source(call);
+  return DeriveImageStreaming(source, min_stable_run, channel_tolerance);
 }
 
 std::optional<VbReference> VbReference::DeriveVideo(

@@ -75,7 +75,8 @@ class VbReference {
   // frame by best match.
   static VbReference KnownVideo(std::vector<imaging::Image> frames);
 
-  // Derives a static VB image from the call (unknown-image scenario).
+  // Derives a static VB image from the call (unknown-image scenario): a
+  // wrapper that runs DeriveImageStreaming over the in-memory call.
   static VbReference DeriveImage(const video::VideoStream& call,
                                  int min_stable_run = kDefaultStableRun,
                                  int channel_tolerance = 4);

@@ -444,7 +444,6 @@ Result<Daemon::JobOutcome> Daemon::RunJob(JobRecord* job) {
             opts_.worker_bin,
             "attack",
             "--in", job->spec.input,
-            "--stream",
             "--window", std::to_string(job->spec.window),
             "--shard",
             std::to_string(shard) + "/" + std::to_string(job->spec.shards),

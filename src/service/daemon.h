@@ -7,7 +7,7 @@
 //            final_reason (unreadable record, missing input, or
 //            RESOURCE_EXHAUSTED when queued+running is at queue_depth)
 //   run      the lowest-id queued job moves to running/ and executes as
-//            spec.shards `backbuster attack --stream --shard i/N` worker
+//            spec.shards `backbuster attack --shard i/N` worker
 //            subprocesses (at most max_workers concurrent), each writing
 //            its own checkpoint and partial under work/<id>/; completed
 //            partials are skipped on retry, so attempts resume instead of

@@ -3,7 +3,7 @@
 // A BBJB job record is the unit the attackd spool trades in: everything a
 // supervisor needs to run one reconstruction job as N shard worker
 // subprocesses - the input stream, the attack configuration threaded down
-// to `backbuster attack --stream --shard i/N`, the retry policy - plus the
+// to `backbuster attack --shard i/N`, the retry policy - plus the
 // job's full lifecycle so far: state, every completed attempt (the backoff
 // delay it waited, how it exited, why), and the terminal reason once the
 // job is done with. The record travels between spool directories

@@ -22,36 +22,6 @@ std::uint8_t MedianOf(std::vector<std::uint8_t>& v) {
 
 }  // namespace
 
-imaging::ImageT<int> LongestStableRun(const VideoStream& video,
-                                      const ConsistencyOptions& opts) {
-  const int w = video.width(), h = video.height();
-  imaging::ImageT<int> best(w, h, 0);
-  if (video.frame_count() == 0) return best;
-
-  imaging::ImageT<int> run(w, h, 1);
-  imaging::Image anchor = video.frame(0);
-  best.Fill(1);
-
-  for (int i = 1; i < video.frame_count(); ++i) {
-    const imaging::Image& f = video.frame(i);
-    auto pf = f.pixels();
-    auto pa = anchor.pixels();
-    auto pr = run.pixels();
-    auto pb = best.pixels();
-    // bblint: allow(no-per-pixel-loop) -- run-length state machine updates four planes per element
-    for (std::size_t k = 0; k < pf.size(); ++k) {
-      if (Same(pf[k], pa[k], opts.channel_tolerance)) {
-        ++pr[k];
-      } else {
-        pa[k] = pf[k];
-        pr[k] = 1;
-      }
-      pb[k] = std::max(pb[k], pr[k]);
-    }
-  }
-  return best;
-}
-
 StaticLayer EstimateStaticLayer(const VideoStream& video, int min_run,
                                 const ConsistencyOptions& opts) {
   StaticLayerAccumulator acc(opts);

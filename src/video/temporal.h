@@ -22,16 +22,13 @@ struct ConsistencyOptions {
   int channel_tolerance = 4;
 };
 
-// For each pixel, the length of the longest run of consecutive frames over
-// which its value stayed the same (within tolerance). A pixel of the virtual
-// background has a run close to the video length; caller pixels have short
-// runs. Paper threshold: a run of >= 10 frames at 30 fps is VB.
-imaging::ImageT<int> LongestStableRun(const VideoStream& video,
-                                      const ConsistencyOptions& opts = {});
-
-// The per-pixel modal color over the frames where the pixel was inside its
-// longest stable run - i.e. the best estimate of the static layer. Pixels
-// whose longest run is below `min_run` are reported in `valid` as 0.
+// The static layer of a video. For each pixel, the longest run of
+// consecutive frames over which its value stayed the same (within
+// tolerance) is tracked: a pixel of the virtual background has a run close
+// to the video length, caller pixels have short runs (paper threshold: a
+// run of >= 10 frames at 30 fps is VB). `color` is the pixel's value over
+// its longest run; pixels whose longest run is below `min_run` are
+// reported in `valid` as 0.
 struct StaticLayer {
   imaging::Image color;
   imaging::Bitmap valid;

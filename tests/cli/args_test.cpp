@@ -41,11 +41,37 @@ TEST(ArgsTest, TrailingFlagIsBoolean) {
 }
 
 TEST(ArgsTest, TypedAccessorsRejectGarbage) {
-  const Args a = ParseVec({"x", "--n", "12", "--bad", "twelve"});
+  const Args a = ParseVec({"x", "--n", "12", "--bad", "twelve", "--r", "0.5",
+                           "--phi", "xyz", "--window", "7x", "--big",
+                           "99999999999999999999999"});
   EXPECT_EQ(a.GetInt("n"), 12);
-  EXPECT_FALSE(a.GetInt("bad").has_value());
+  EXPECT_DOUBLE_EQ(a.GetDouble("r", 1.0), 0.5);
   EXPECT_FALSE(a.GetInt("missing").has_value());
   EXPECT_EQ(a.GetInt("missing", 7), 7);
+  EXPECT_DOUBLE_EQ(a.GetDouble("missing", 2.5), 2.5);
+  EXPECT_TRUE(a.errors().empty());  // absent keys are not errors
+
+  // A present but malformed value still yields the fallback, and records an
+  // error naming the key so the caller can refuse the command.
+  EXPECT_FALSE(a.GetInt("bad").has_value());
+  EXPECT_EQ(a.GetInt("window", 64), 64);
+  EXPECT_DOUBLE_EQ(a.GetDouble("phi", 3.0), 3.0);
+  EXPECT_FALSE(a.GetInt("big").has_value());  // out of range for long
+  ASSERT_EQ(a.errors().size(), 4u);
+  EXPECT_NE(a.errors()[0].find("--bad"), std::string::npos);
+  EXPECT_NE(a.errors()[0].find("twelve"), std::string::npos);
+  EXPECT_NE(a.errors()[1].find("--window"), std::string::npos);
+  EXPECT_NE(a.errors()[2].find("--phi"), std::string::npos);
+  EXPECT_NE(a.errors()[3].find("--big"), std::string::npos);
+}
+
+TEST(ArgsTest, DanglingNumericKeyIsAnError) {
+  // "--window" with no value parses as an empty string, which is not an
+  // integer.
+  const Args a = ParseVec({"x", "--window"});
+  EXPECT_EQ(a.GetInt("window", 64), 64);
+  ASSERT_EQ(a.errors().size(), 1u);
+  EXPECT_NE(a.errors()[0].find("--window"), std::string::npos);
 }
 
 TEST(ArgsTest, MalformedTokensAreErrors) {

@@ -12,7 +12,7 @@
 //     job in failed/ without wedging the queue,
 //   * SIGTERM drains gracefully (workers seal checkpoints, the job
 //     requeues) and kill -9 of the daemon itself is recovered on restart,
-//   * a SIGINT/SIGTERM'd `backbuster attack --stream --checkpoint` exits
+//   * a SIGINT/SIGTERM'd `backbuster attack --checkpoint` exits
 //     3 with a sealed checkpoint and resumes byte-identical.
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -154,7 +154,7 @@ std::string DirectReconstruction(const std::string& stream) {
   const std::string out =
       ProcessTempPath("direct_" + std::to_string(cache.size()));
   EXPECT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN + "\" attack --in " +
-                     stream + " --stream --out " + out +
+                     stream + " --out " + out +
                      " > /dev/null 2>&1"),
             0);
   return cache.emplace(stream, ReadAll(out + ".png")).first->second;
@@ -595,7 +595,7 @@ TEST_F(DaemonTest, InterruptedStreamingAttackExitsThreeAndResumesIdentical) {
   const std::string out = OutBase("sig");
   const pid_t pid = SpawnShell(
       std::string("\"") + BACKBUSTER_BIN + "\" attack --in " + LongStream() +
-      " --stream --window 8 --checkpoint " + ck + " --out " + out +
+      " --window 8 --checkpoint " + ck + " --out " + out +
       " > /dev/null 2>&1");
   ASSERT_GT(pid, 0);
   // The handler only helps once decomposition progress exists; wait for
@@ -609,7 +609,7 @@ TEST_F(DaemonTest, InterruptedStreamingAttackExitsThreeAndResumesIdentical) {
   // Resume to completion; the checkpoint is consumed and the output is
   // byte-identical to a never-interrupted run.
   ASSERT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN + "\" attack --in " +
-                     LongStream() + " --stream --window 8 --checkpoint " +
+                     LongStream() + " --window 8 --checkpoint " +
                      ck + " --out " + out + " > /dev/null 2>&1"),
             0);
   EXPECT_FALSE(fs::exists(ck)) << "checkpoint not removed on success";
@@ -619,7 +619,7 @@ TEST_F(DaemonTest, InterruptedStreamingAttackExitsThreeAndResumesIdentical) {
 TEST_F(DaemonTest, HostileShardSpecIsAUsageErrorAtTheProcessBoundary) {
   for (const char* spec : {"0/0", "4/4", "-1/4", " 1/4", "0x1/4", "1//4"}) {
     EXPECT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN + "\" attack --in " +
-                       SmallStream() + " --stream --shard \"" + spec +
+                       SmallStream() + " --shard \"" + spec +
                        "\" > /dev/null 2>&1"),
               2)
         << "spec '" << spec << "' must be a usage error (exit 2)";

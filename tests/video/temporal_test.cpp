@@ -25,22 +25,26 @@ VideoStream HalfStaticVideo(int frames) {
   return v;
 }
 
-TEST(TemporalTest, LongestStableRunSeparatesStaticFromDynamic) {
+TEST(TemporalTest, StaticLayerSeparatesStaticFromDynamic) {
+  // Static pixels hold for all 12 frames; dynamic ones change every frame,
+  // so their longest stable run is at most 2.
   const VideoStream v = HalfStaticVideo(12);
-  const auto runs = LongestStableRun(v);
-  EXPECT_EQ(runs(0, 0), 12);
-  EXPECT_EQ(runs(3, 3), 12);
-  EXPECT_LE(runs(5, 1), 2);
+  const StaticLayer full = EstimateStaticLayer(v, 12);
+  EXPECT_TRUE(full.valid(0, 0));
+  EXPECT_TRUE(full.valid(3, 3));
+  EXPECT_FALSE(EstimateStaticLayer(v, 13).valid(0, 0));
+  EXPECT_FALSE(EstimateStaticLayer(v, 3).valid(5, 1));
 }
 
-TEST(TemporalTest, LongestStableRunToleratesJitter) {
+TEST(TemporalTest, StaticLayerToleratesJitter) {
   VideoStream v(10.0);
   for (int i = 0; i < 8; ++i) {
     // +/-2 jitter within the default tolerance of 4.
     const std::uint8_t c = static_cast<std::uint8_t>(100 + (i % 2) * 2);
     v.Append(Image(2, 2, {c, c, c}));
   }
-  EXPECT_EQ(LongestStableRun(v)(0, 0), 8);
+  EXPECT_TRUE(EstimateStaticLayer(v, 8).valid(0, 0));
+  EXPECT_FALSE(EstimateStaticLayer(v, 9).valid(0, 0));
 }
 
 TEST(TemporalTest, EstimateStaticLayerRecoversBackground) {

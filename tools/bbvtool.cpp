@@ -46,17 +46,10 @@ int Usage() {
   return 2;
 }
 
-int RejectUnknown(const cli::Args& args) {
-  for (const auto& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
-  }
-  return args.UnconsumedKeys().empty() ? 0 : 2;
-}
-
 int Inspect(const cli::Args& args) {
   const auto in = args.Get("in");
   if (!in) return Fail("inspect requires --in <file.bbv>");
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
 
   auto source = video::BbvFileSource::Open(*in);
   if (!source.ok()) return Fail(source.status().ToString());
@@ -87,7 +80,7 @@ int Migrate(const cli::Args& args) {
   if (format != "v1" && format != "v2") {
     return Fail("unknown --format " + format + " (want v1 or v2)");
   }
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
 
   const auto call = video::LoadBbv(*in);
   if (!call.ok()) return Fail(call.status().ToString());
@@ -104,7 +97,7 @@ int Migrate(const cli::Args& args) {
 int Verify(const cli::Args& args) {
   const auto in = args.Get("in");
   if (!in) return Fail("verify requires --in <file.bbv>");
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
 
   auto source = video::BbvFileSource::Open(*in);
   if (!source.ok()) return Fail(source.status().ToString());
@@ -138,10 +131,7 @@ int Verify(const cli::Args& args) {
 
 int main(int argc, char** argv) {
   const cli::Args args = cli::Args::Parse(argc, argv, {"help"});
-  for (const auto& err : args.errors()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-  }
-  if (!args.errors().empty()) return 2;
+  if (const int rc = cli::ReportErrors(args)) return rc;
   if (args.GetFlag("help")) {
     Usage();
     return 0;

@@ -10,12 +10,15 @@
 #      fault-injection degradation gauges (fails on schema drift via
 #      report_check --require-memory / --require-degradation)
 #   4. container smoke: simulate to v1, bbvtool migrate to v2, verify and
-#      attack both containers and require byte-identical reconstructions,
+#      attack both containers (the v1 attack still spells the accepted
+#      --stream switch) and require byte-identical reconstructions, a
+#      plain `attack` at the default window byte-identical to them too,
 #      plus the dedup/seek gauges in the perf report (report_check
 #      --require-measured)
-#   5. chaos smoke: end-to-end CLI run under an injected fault schedule -
-#      quarantine must degrade gracefully, a tight --max-bad-frames budget
-#      must fail with a structured error - plus the seeded chaos test label
+#   5. chaos smoke: end-to-end CLI run under an injected fault schedule,
+#      without --stream - quarantine must degrade gracefully, a tight
+#      --max-bad-frames budget must fail with a structured error - plus
+#      the seeded chaos test label
 #   6. shard smoke: map-reduce the same call as three shard workers
 #      (backbuster attack --shard i/3) plus backbuster reduce, require the
 #      merged reconstruction byte-identical to the single-process run, the
@@ -99,15 +102,20 @@ build-check/tools/bbvtool inspect --in "$CONTAINER_DIR/call_v2.bbv" \
 grep -q 'BBV2' "$CONTAINER_DIR/inspect.out"
 build-check/tools/bbvtool verify --in "$CONTAINER_DIR/call_v1.bbv"
 build-check/tools/bbvtool verify --in "$CONTAINER_DIR/call_v2.bbv"
-# Both containers must reconstruct to the same bytes.
+# Both containers must reconstruct to the same bytes. Every attack streams;
+# the v1 run keeps the --stream switch, which is still accepted, and the
+# plain attack at the default window must match both.
 build-check/apps/backbuster attack --in "$CONTAINER_DIR/call_v1.bbv" \
   --stream --window 16 --out "$CONTAINER_DIR/recon_v1"
 build-check/apps/backbuster attack --in "$CONTAINER_DIR/call_v2.bbv" \
-  --stream --window 16 --out "$CONTAINER_DIR/recon_v2"
+  --window 16 --out "$CONTAINER_DIR/recon_v2"
+build-check/apps/backbuster attack --in "$CONTAINER_DIR/call_v2.bbv" \
+  --out "$CONTAINER_DIR/recon_plain"
 # WriteImageAuto picks .png or .ppm depending on build support; compare
 # whichever it produced.
 RECON_V1="$(ls "$CONTAINER_DIR"/recon_v1.p?? | head -n 1)"
 cmp "$RECON_V1" "${RECON_V1/recon_v1/recon_v2}"
+cmp "$RECON_V1" "${RECON_V1/recon_v1/recon_plain}"
 # The perf report must carry the container gauges (step 3 wrote it with a
 # benchmark filter, so run the probe-bearing binary unfiltered here).
 CONTAINER_REPORT_DIR="build-check/container-smoke/report"
@@ -129,13 +137,13 @@ mkdir -p "$CHAOS_DIR"
 build-check/apps/backbuster simulate --out "$CHAOS_DIR/call.bbv" \
   --duration 4 --action arm_wave
 build-check/apps/backbuster attack --in "$CHAOS_DIR/call.bbv" \
-  --stream --window 16 --out "$CHAOS_DIR/degraded" \
+  --window 16 --out "$CHAOS_DIR/degraded" \
   --faults 'source@2=fail,source@11=corrupt,source@30=truncate' \
   --max-bad-frames 10% | tee "$CHAOS_DIR/attack.out"
 grep -q 'degraded: 3 of' "$CHAOS_DIR/attack.out"
 # One quarantine past the budget must fail the run with a structured error.
 if build-check/apps/backbuster attack --in "$CHAOS_DIR/call.bbv" \
-     --stream --window 16 --out "$CHAOS_DIR/budget" \
+     --window 16 --out "$CHAOS_DIR/budget" \
      --faults 'source@2=fail,source@11=corrupt,source@30=truncate' \
      --max-bad-frames 1 2> "$CHAOS_DIR/budget.err"; then
   echo 'chaos smoke: budget-exceeded attack unexpectedly succeeded' >&2
@@ -150,10 +158,10 @@ mkdir -p "$SHARD_DIR"
 build-check/apps/backbuster simulate --out "$SHARD_DIR/call.bbv" \
   --duration 4 --action arm_wave
 build-check/apps/backbuster attack --in "$SHARD_DIR/call.bbv" \
-  --stream --window 16 --out "$SHARD_DIR/single"
+  --window 16 --out "$SHARD_DIR/single"
 for i in 0 1 2; do
   build-check/apps/backbuster attack --in "$SHARD_DIR/call.bbv" \
-    --stream --window 16 --shard "$i/3" \
+    --window 16 --shard "$i/3" \
     --partial-out "$SHARD_DIR/shard$i.bbpr"
 done
 build-check/apps/backbuster reduce \
@@ -180,9 +188,9 @@ build-check/apps/backbuster simulate --out "$ATTACKD_DIR/call.bbv" \
   --duration 4 --action arm_wave
 # Direct single-process references for the byte-identity comparison.
 build-check/apps/backbuster attack --in "$ATTACKD_DIR/call.bbv" \
-  --stream --window 16 --out "$ATTACKD_DIR/direct1"
+  --window 16 --out "$ATTACKD_DIR/direct1"
 build-check/apps/backbuster attack --in "$ATTACKD_DIR/call.bbv" \
-  --stream --window 8 --out "$ATTACKD_DIR/direct2"
+  --window 8 --out "$ATTACKD_DIR/direct2"
 # Two healthy jobs (one multi-shard) plus one hostile record in the spool.
 build-check/apps/attackctl submit --spool "$ATTACKD_DIR/spool" \
   --in "$ATTACKD_DIR/call.bbv" --out "$ATTACKD_DIR/job1" \
