@@ -86,14 +86,19 @@ int Submit(const cli::Args& args, const std::string& spool) {
   spec.output = *out;
   spec.vb = args.Get("vb", "");
   spec.phi = args.GetDouble("phi", 0.0);
-  spec.window = static_cast<int>(args.GetInt("window", 64));
-  spec.shards = static_cast<int>(args.GetInt("shards", 1));
-  spec.threads = static_cast<int>(args.GetInt("threads", 0));
+  // ValidateSpec below holds each field's range; here a value only has to
+  // fit an int.
+  const auto get_int = [&args](const char* key, int fallback) {
+    return args.GetInt(key, fallback, cli::kIntMin, cli::kIntMax);
+  };
+  spec.window = get_int("window", 64);
+  spec.shards = get_int("shards", 1);
+  spec.threads = get_int("threads", 0);
   spec.max_bad_frames = args.Get("max-bad-frames", "");
-  spec.max_attempts = static_cast<int>(args.GetInt("max-attempts", 3));
-  spec.backoff_ms = static_cast<int>(args.GetInt("backoff-ms", 250));
-  spec.deadline_ms = static_cast<int>(args.GetInt("deadline-ms", 0));
-  if (const int rc = cli::ReportErrors(args)) return rc;
+  spec.max_attempts = get_int("max-attempts", 3);
+  spec.backoff_ms = get_int("backoff-ms", 250);
+  spec.deadline_ms = get_int("deadline-ms", 0);
+  if (const int rc = cli::RejectUnknown(args)) return rc;
   if (const Status valid = service::ValidateSpec(spec); !valid.ok()) {
     std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
     return 2;
@@ -169,7 +174,7 @@ int PrintStatus(const std::string& spool, bool json) {
 
 int Wait(const cli::Args& args, const std::string& spool) {
   const long timeout_ms = args.GetInt("timeout-ms", 600000);
-  if (const int rc = cli::ReportErrors(args)) return rc;
+  if (const int rc = cli::RejectUnknown(args)) return rc;
   const double until =
       trace::MonotonicSeconds() + static_cast<double>(timeout_ms) / 1000.0;
   while (true) {

@@ -72,14 +72,11 @@ int main(int argc, char** argv) {
   opts.worker_bin = args.Get(
       "worker-bin",
       (std::filesystem::path(argv[0]).parent_path() / "backbuster").string());
-  opts.max_workers = static_cast<int>(args.GetInt("max-workers", 3));
-  opts.queue_depth = static_cast<int>(args.GetInt("queue-depth", 8));
-  opts.poll_ms = static_cast<int>(args.GetInt("poll-ms", 50));
+  opts.max_workers = args.GetInt("max-workers", 3, 1, cli::kIntMax);
+  opts.queue_depth = args.GetInt("queue-depth", 8, 1, cli::kIntMax);
+  opts.poll_ms = args.GetInt("poll-ms", 50, 1, cli::kIntMax);
   opts.drain_once = args.GetFlag("drain-once");
   opts.drain = &g_drain;
-  if (opts.max_workers < 1) return Fail("--max-workers must be >= 1");
-  if (opts.queue_depth < 1) return Fail("--queue-depth must be >= 1");
-  if (opts.poll_ms < 1) return Fail("--poll-ms must be >= 1");
 
   const auto trace_path = args.Get("trace");
   if (trace_path) {

@@ -174,11 +174,8 @@ int Simulate(const cli::Args& args) {
     return UsageError("unknown --speed " + speed +
                       " (want slow, average or fast)");
   }
-  c.participant = static_cast<int>(args.GetInt("participant", 0));
-  if (c.participant < 0 || c.participant >= datasets::kParticipantCount) {
-    return UsageError("--participant must be 0.." +
-                      std::to_string(datasets::kParticipantCount - 1));
-  }
+  c.participant =
+      args.GetInt("participant", 0, 0, datasets::kParticipantCount - 1);
   c.scene_seed = static_cast<std::uint64_t>(args.GetInt("scene-seed", 1));
   const std::string lighting = args.Get("lighting", "on");
   if (lighting == "off") {
@@ -192,11 +189,8 @@ int Simulate(const cli::Args& args) {
   }
 
   datasets::SimScale scale;
-  scale.width = static_cast<int>(args.GetInt("width", 192));
-  scale.height = static_cast<int>(args.GetInt("height", 144));
-  if (scale.width < 1 || scale.height < 1) {
-    return UsageError("--width and --height must be >= 1");
-  }
+  scale.width = args.GetInt("width", 192, 1, cli::kIntMax);
+  scale.height = args.GetInt("height", 144, 1, cli::kIntMax);
   scale.fps = args.GetDouble("fps", 12.0);
   if (!std::isfinite(scale.fps) || scale.fps <= 0.0) {
     return UsageError("--fps must be > 0");
@@ -374,15 +368,14 @@ int Attack(const cli::Args& args) {
   // Every attack streams; the switch is still accepted so existing command
   // lines keep working.
   (void)args.GetFlag("stream");
-  const int window = static_cast<int>(args.GetInt("window", 64));
-  if (window < 1) return Fail("--window must be >= 1");
+  const int window = args.GetInt("window", 64, 1, cli::kIntMax);
 
   // Degradation budget: a plain count, or a percentage of the stream.
   int max_bad_frames = -1;
   double max_bad_fraction = -1.0;
   if (const auto bad = args.Get("max-bad-frames")) {
     const auto reject = [] {
-      return Fail(
+      return UsageError(
           "--max-bad-frames expects a count (e.g. 5) or percentage "
           "(e.g. 10%)");
     };
@@ -394,7 +387,7 @@ int Attack(const cli::Args& args) {
         max_bad_fraction = pct / 100.0;
       } else {
         const long v = std::stol(*bad, &pos);
-        if (pos != bad->size() || v < 0) return reject();
+        if (pos != bad->size() || v < 0 || v > cli::kIntMax) return reject();
         max_bad_frames = static_cast<int>(v);
       }
     } catch (const std::exception&) {
@@ -631,12 +624,10 @@ int main(int argc, char** argv) {
   // follows them on the command line).
   const cli::Args args =
       cli::Args::Parse(argc, argv, {"help", "dynamic", "stream", "no-prune"});
-  const auto threads = args.GetInt("threads");
+  const bool has_threads = args.Has("threads");
+  const int threads = args.GetInt("threads", 0, 1, cli::kIntMax);
   if (const int rc = cli::ReportErrors(args)) return rc;
-  if (threads) {
-    if (*threads < 1) return Fail("--threads must be >= 1");
-    common::SetThreadCount(static_cast<int>(*threads));
-  }
+  if (has_threads) common::SetThreadCount(threads);
 
   // Global: --trace FILE collects stage timings/counters across whatever
   // command runs and dumps them as JSON before exit. Collection never feeds

@@ -94,6 +94,19 @@ double Args::GetDouble(const std::string& key, double fallback) const {
   return GetDouble(key).value_or(fallback);
 }
 
+int Args::GetInt(const std::string& key, int fallback, int lo, int hi) const {
+  const auto parsed = GetInt(key);
+  if (!parsed) return fallback;
+  const long v = parsed.value();
+  if (v < lo || v > hi) {
+    errors_.push_back("--" + key + " must be in [" + std::to_string(lo) +
+                      ", " + std::to_string(hi) + "], got " +
+                      std::to_string(v));
+    return fallback;
+  }
+  return static_cast<int>(v);
+}
+
 std::vector<std::string> Args::UnconsumedKeys() const {
   std::vector<std::string> out;
   for (const auto& [key, value] : values_) {

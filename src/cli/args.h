@@ -5,6 +5,7 @@
 // reject them with a helpful message.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -12,6 +13,10 @@
 #include <vector>
 
 namespace bb::cli {
+
+// The bounds of a ranged GetInt that only has to fit an int.
+inline constexpr int kIntMin = std::numeric_limits<int>::min();
+inline constexpr int kIntMax = std::numeric_limits<int>::max();
 
 class Args {
  public:
@@ -46,6 +51,10 @@ class Args {
   std::optional<double> GetDouble(const std::string& key) const;
   long GetInt(const std::string& key, long fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
+  // Ranged integer: `fallback` when absent. A present value outside
+  // [lo, hi] is refused like a malformed one - `fallback` and an error
+  // naming the key and the range - so no value is ever narrowed.
+  int GetInt(const std::string& key, int fallback, int lo, int hi) const;
 
   // Keys the caller never consumed; call after all Get()s to reject typos.
   // (Every Get/Has marks its key as consumed.)

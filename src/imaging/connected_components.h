@@ -34,7 +34,10 @@ Labeling LabelComponents(const Bitmap& mask,
 // Removes components with fewer than `min_area` pixels.
 Bitmap RemoveSmallComponents(const Bitmap& mask, std::size_t min_area);
 
-// Keeps only the single largest component (empty mask stays empty).
-Bitmap LargestComponent(const Bitmap& mask);
+// Keeps only the single largest component, the first in raster order on
+// ties. The result is empty when the mask is, or when that component has
+// fewer than `min_area` pixels - the same mask RemoveSmallComponents then
+// LargestComponent gives, from one labelling.
+Bitmap LargestComponent(const Bitmap& mask, std::size_t min_area = 0);
 
 }  // namespace bb::imaging

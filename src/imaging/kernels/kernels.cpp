@@ -234,6 +234,37 @@ void ThresholdLE(std::span<const float> in, float threshold,
   }
 }
 
+void RowDistanceTo(std::span<const std::uint8_t> row, bool target_set,
+                   std::span<std::uint8_t> dist) {
+  assert(row.size() == dist.size());
+  std::uint8_t d = kRowDistanceFar;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if ((row[i] != 0) == target_set) {
+      d = 0;
+    } else if (d < kRowDistanceFar) {
+      ++d;
+    }
+    dist[i] = d;
+  }
+  d = kRowDistanceFar;
+  for (std::size_t i = row.size(); i-- > 0;) {
+    if ((row[i] != 0) == target_set) {
+      d = 0;
+    } else if (d < kRowDistanceFar) {
+      ++d;
+    }
+    dist[i] = std::min(dist[i], d);
+  }
+}
+
+void StampWithinReach(std::span<const std::uint8_t> dist, std::uint8_t reach,
+                      std::uint8_t value, std::span<std::uint8_t> out) {
+  assert(dist.size() == out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = dist[i] <= reach ? value : out[i];
+  }
+}
+
 void SplitRgb(std::span<const Rgb8> px, std::span<float> r, std::span<float> g,
               std::span<float> b) {
   assert(px.size() == r.size() && px.size() == g.size() &&

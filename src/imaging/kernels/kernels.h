@@ -125,6 +125,16 @@ void ThresholdGE(std::span<const float> in, float threshold,
                  std::span<std::uint8_t> out);
 void ThresholdLE(std::span<const float> in, float threshold,
                  std::span<std::uint8_t> out);
+// Disc morphology row primitives (imaging::DilateDisc/ErodeDisc at small
+// radii). dist[x] = min |x - x'| over the x' whose set-ness equals
+// `target_set`, saturated at kRowDistanceFar, which also marks a row with
+// no such pixel.
+inline constexpr std::uint8_t kRowDistanceFar = 255;
+void RowDistanceTo(std::span<const std::uint8_t> row, bool target_set,
+                   std::span<std::uint8_t> dist);
+// out[x] = value wherever dist[x] <= reach; other bytes are left alone.
+void StampWithinReach(std::span<const std::uint8_t> dist, std::uint8_t reach,
+                      std::uint8_t value, std::span<std::uint8_t> out);
 void SplitRgb(std::span<const Rgb8> px, std::span<float> r,
               std::span<float> g, std::span<float> b);
 void MergeRgb(std::span<const float> r, std::span<const float> g,

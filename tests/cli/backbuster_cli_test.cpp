@@ -6,8 +6,9 @@
 //     --window and --threads, it writes the same reconstruction and
 //     coverage bytes,
 //   * --checkpoint, --max-bad-frames and --shard work without --stream,
-//   * malformed numbers and out-of-range simulate options are usage errors
-//     (exit 2) naming the option, and write nothing.
+//   * malformed numbers, integers outside an option's range and unknown
+//     options are usage errors (exit 2) naming the option, and write
+//     nothing.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -192,6 +193,37 @@ TEST(BackbusterCliTest, MalformedNumbersAreUsageErrors) {
        "--timeout-ms"},
       {ATTACKD_BIN, "--spool " + spool + " --drain-once --max-workers 3.5",
        "--max-workers"},
+      // Values an int cannot hold are refused, never narrowed (2^32 + 64
+      // once wrapped to a window of 64).
+      {BACKBUSTER_BIN, "attack --in " + Call() + " --window 4294967360",
+       "--window"},
+      {BACKBUSTER_BIN, "attack --in " + Call() + " --window 0", "--window"},
+      {BACKBUSTER_BIN, "attack --in " + Call() + " --threads 4294967296",
+       "--threads"},
+      {BACKBUSTER_BIN, "attack --in " + Call() + " --max-bad-frames 5x",
+       "--max-bad-frames"},
+      {BACKBUSTER_BIN,
+       "attack --in " + Call() + " --max-bad-frames 4294967296",
+       "--max-bad-frames"},
+      {BACKBUSTER_BIN,
+       "simulate --out " + TempPath("n.bbv") + " --width 4294967392",
+       "--width"},
+      {BACKBUSTER_BIN,
+       "simulate --out " + TempPath("n.bbv") + " --participant 4294967296",
+       "--participant"},
+      {ATTACKCTL_BIN,
+       "submit --spool " + spool + " --in " + Call() +
+           " --out x --shards 4294967297",
+       "--shards"},
+      {ATTACKCTL_BIN,
+       "submit --spool " + spool + " --in " + Call() +
+           " --out x --deadline-ms 4294967296",
+       "--deadline-ms"},
+      {ATTACKD_BIN,
+       "--spool " + spool + " --drain-once --max-workers 4294967299",
+       "--max-workers"},
+      {ATTACKD_BIN, "--spool " + spool + " --drain-once --poll-ms 0",
+       "--poll-ms"},
   };
   for (const Case& c : cases) {
     const Outcome o = RunBinary(c.bin, c.args);
@@ -199,6 +231,25 @@ TEST(BackbusterCliTest, MalformedNumbersAreUsageErrors) {
     EXPECT_NE(o.err.find(c.key), std::string::npos) << c.args << "\n" << o.err;
   }
   EXPECT_FALSE(fs::exists(TempPath("n.bbv")));
+  EXPECT_FALSE(fs::exists(spool)) << "a refused command touched the spool";
+}
+
+// attackctl refuses options it does not know, as backbuster and attackd
+// do, instead of dropping them (`--shardz 3` once queued a 1-shard job).
+TEST(BackbusterCliTest, AttackctlRejectsUnknownOptions) {
+  const std::string spool = TempPath("unknown_spool");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"submit --spool " + spool + " --in " + Call() + " --out x --shardz 3",
+       "--shardz"},
+      {"wait --spool " + spool + " --bogus 1", "--bogus"},
+      {"status --spool " + spool + " --verbose", "--verbose"},
+  };
+  for (const auto& [args, key] : cases) {
+    const Outcome o = RunBinary(ATTACKCTL_BIN, args);
+    EXPECT_EQ(o.code, 2) << args << "\n" << o.err;
+    EXPECT_NE(o.err.find("unknown option " + key), std::string::npos)
+        << args << "\n" << o.err;
+  }
   EXPECT_FALSE(fs::exists(spool)) << "a refused command touched the spool";
 }
 

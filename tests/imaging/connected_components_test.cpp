@@ -83,5 +83,30 @@ TEST(ConnectedComponentsTest, LargestOfEmptyIsEmpty) {
   EXPECT_EQ(CountSet(LargestComponent(Bitmap(4, 4))), 0u);
 }
 
+TEST(ConnectedComponentsTest, LargestComponentTieGoesToRasterFirst) {
+  Bitmap m(16, 8);
+  FillRect(m, {0, 4, 3, 3});   // area 9, first pixel in row 4
+  FillRect(m, {10, 1, 3, 3});  // area 9, first pixel in row 1
+  const Bitmap largest = LargestComponent(m);
+  EXPECT_TRUE(largest(11, 2));
+  EXPECT_FALSE(largest(1, 5));
+  EXPECT_EQ(CountSet(largest), 9u);
+}
+
+// One labelling gives what RemoveSmallComponents then LargestComponent do.
+TEST(ConnectedComponentsTest, LargestComponentWithMinAreaMatchesTwoPasses) {
+  Bitmap m(20, 12);
+  FillRect(m, {0, 0, 4, 4});    // area 16
+  FillRect(m, {10, 2, 5, 2});   // area 10
+  m(18, 10) = kMaskSet;         // area 1
+  for (std::size_t min_area : {0u, 1u, 10u, 15u, 16u, 17u, 100u}) {
+    EXPECT_EQ(LargestComponent(m, min_area),
+              LargestComponent(RemoveSmallComponents(m, min_area)))
+        << "min_area " << min_area;
+  }
+  EXPECT_EQ(CountSet(LargestComponent(m, 16)), 16u);
+  EXPECT_EQ(CountSet(LargestComponent(m, 17)), 0u);
+}
+
 }  // namespace
 }  // namespace bb::imaging

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "imaging/draw.h"
 #include "synth/recorder.h"
 #include "vbg/compositor.h"
@@ -10,6 +13,7 @@ namespace bb::segmentation {
 namespace {
 
 using imaging::Bitmap;
+using imaging::Rect;
 
 synth::RawRecording SmallRecording(synth::ActionKind action) {
   synth::RecordingSpec spec;
@@ -95,6 +99,63 @@ TEST(ClassicalSegmenterTest, MaskIsOneBlob) {
   ClassicalSegmenter seg;
   const Bitmap mask = seg.SegmentBatch(call.video, 10);
   EXPECT_GT(imaging::CountSet(mask), 100u);
+}
+
+// A still gray 96x72 scene whose last three of ten frames show black
+// squares: the squares are the only dynamic pixels, so the segmenter's
+// candidate is exactly the squares of frame 9.
+video::VideoStream SquaresCall(const std::vector<Rect>& squares) {
+  video::VideoStream call(8.0);
+  for (int i = 0; i < 10; ++i) {
+    imaging::Image frame(96, 72, imaging::Rgb8{128, 128, 128});
+    if (i >= 7) {
+      for (const Rect& r : squares) {
+        imaging::FillRect(frame, r, imaging::Rgb8{0, 0, 0});
+      }
+    }
+    call.AddFrame(std::move(frame));
+  }
+  return call;
+}
+
+Bitmap SquareMask(const Rect& r) {
+  Bitmap m(96, 72);
+  imaging::FillRect(m, r);
+  return m;
+}
+
+// The seed is the largest candidate component, the first in raster order
+// on ties, or nothing when it is smaller than min_island_area.
+TEST(ClassicalSegmenterTest, SeedIsTheLargestComponentOrNothing) {
+  // Equal areas, far apart; `first` starts on an earlier row.
+  const Rect first{60, 4, 8, 8}, second{4, 40, 8, 8};
+  const auto call = SquaresCall({first, second});
+
+  ClassicalSegmenter tie;
+  EXPECT_EQ(tie.SegmentBatch(call, 9), SquareMask(first));
+
+  ClassicalSegmenterParams params;
+  params.min_island_area = 64;
+  ClassicalSegmenter at_min(params);
+  EXPECT_EQ(at_min.SegmentBatch(call, 9), SquareMask(first));
+
+  params.min_island_area = 65;
+  ClassicalSegmenter below_min(params);
+  EXPECT_EQ(imaging::CountSet(below_min.SegmentBatch(call, 9)), 0u);
+}
+
+// A seed under 16 pixels is returned as it is, without palette growth.
+TEST(ClassicalSegmenterTest, SeedUnderSixteenPixelsIsReturnedAsIs) {
+  const Rect larger{20, 20, 3, 3}, smaller{70, 50, 2, 2};
+  const auto call = SquaresCall({larger, smaller});
+
+  ClassicalSegmenterParams params;
+  params.min_island_area = 4;
+  ClassicalSegmenter seg(params);
+  EXPECT_EQ(seg.SegmentBatch(call, 9), SquareMask(larger));
+
+  ClassicalSegmenter defaults;  // min_island_area 24 > 9 pixels
+  EXPECT_EQ(imaging::CountSet(defaults.SegmentBatch(call, 9)), 0u);
 }
 
 }  // namespace

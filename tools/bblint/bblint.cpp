@@ -316,8 +316,8 @@ void CheckFullCallMaterialization(const FileView& v,
 // ---------------------------------------------------------------------------
 
 // The kernel catalog (src/imaging/kernels/) is the single home for flat
-// per-pixel loops, in a scalar reference and a vectorization-friendly twin
-// pinned bit-identical by test. A loop over a .pixels() span anywhere else
+// per-pixel loops: one plain body per primitive, the simplest loop that
+// states the operation. A loop over a .pixels() span anywhere else
 // in src/ is either a migration candidate or a documented exception
 // (neighborhood access, multi-plane state machines, serialization) - it may
 // stay only with an allow() reason. Two shapes are recognized:
@@ -357,8 +357,8 @@ void CheckPerPixelLoop(const FileView& v, std::vector<Finding>* out) {
     out->push_back(
         {v.path, static_cast<int>(i + 1), kRulePerPixelLoop,
          "per-pixel loop outside src/imaging/kernels/; move it into the "
-         "kernel catalog (both implementations, bit-identical) or keep it "
-         "with a reason: // bblint: allow(no-per-pixel-loop) -- <why>"});
+         "kernel catalog (one plain body per primitive) or keep it with a "
+         "reason: // bblint: allow(no-per-pixel-loop) -- <why>"});
   }
 }
 

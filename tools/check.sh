@@ -38,7 +38,9 @@
 #      with a traced stock-VB (--vb office) attack that must record no
 #      vb.derive stage while the default attack records one, plus the
 #      pruning gauges in the perf report (report_check --require-measured)
-#      and the kernel/pruned-search tests
+#      and the kernel/pruned-search tests, plus the disc-morphology
+#      (row stencil vs EDT vs brute-force disc), connected-component and
+#      segmenter tests
 #   9. ThreadSanitizer build, determinism / parallel-runtime suites
 #   10. UndefinedBehaviorSanitizer build, full ctest suite (minus
 #      bench-smoke: the benches are already covered by step 2 and would
@@ -270,7 +272,7 @@ build-check/tools/report_check \
   --require-measured location.prune_speedup \
   "$CONTAINER_REPORT_DIR/BENCH_perf.json"
 ctest --test-dir build-check --output-on-failure -j "$JOBS" \
-      -R 'Kernel|kernels|Pruned'
+      -R 'Kernel|kernels|Pruned|Morphology|DistanceTransform|ConnectedComponents|ClassicalSegmenter|NoisyOracle'
 
 step "ThreadSanitizer build + determinism/parallel suites"
 cmake -B build-check-tsan -S . -DBB_SANITIZE=thread -DBB_WERROR=ON
